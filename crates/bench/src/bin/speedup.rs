@@ -36,16 +36,6 @@
 //!   same suppressed baseline; it is skipped when `--telemetry-out`
 //!   already owns the process-wide sink. Without the feature the layer
 //!   compiles to no-ops and the section reports itself skipped.
-//! * **E5f — compiled lowering.** The structure-of-arrays fast path
-//!   (per-server capacity/cost arrays, cached `cap/exec` inverse-service
-//!   tables, per-(class, client) level-constant tables) vs the retained
-//!   array-of-structs path that resolves every field through the frontend
-//!   model mid-search. Both run the same dedup/pruning machinery, so the
-//!   ratio isolates exactly what the lowering buys. An untimed pass first
-//!   asserts every candidate bit-for-bit identical; the timed workload
-//!   gives every server a distinct background load, which defeats the
-//!   signature dedup — one curve per server, the regime where per-curve
-//!   constant reuse (vs per-curve recomputation) dominates the search.
 //! * **E5g — fault repair.** Fails 20% of the active servers and compares
 //!   the incremental repair (`evict → re-disperse / re-place / shed`, then
 //!   an admission-shedding pass) against a bounded full re-solve on the
@@ -56,16 +46,16 @@
 //! * **E5i — datacenter scale.** Sweeps the [`ScenarioConfig::scale`]
 //!   family from 10k clients up to a million (full mode only; `--smoke`
 //!   stops at 100k), generating each system through the *streaming*
-//!   scenario pipeline under a fixed staging [`MemoryBudget`] and solving
-//!   it with the hierarchical sketch-then-exact scheme
-//!   ([`solve_hierarchical`]). Records wall-clock, profit, the process's
-//!   peak RSS (self-measured from `/proc/self/status` `VmHWM`, no
-//!   dependencies), and — where the flat solve is still tractable — the
-//!   hierarchical-vs-flat profit gap, asserted within the documented
-//!   one-sided [`PROFIT_BAND`]. Rows of 100k clients and beyond gate peak
-//!   RSS against a per-size budget; the 10k row additionally re-runs the
-//!   hierarchical solve single-threaded and asserts the profit
-//!   bit-identical to the pooled run.
+//!   scenario pipeline under a fixed staging [`MemoryBudget`] and
+//!   solving it with the hierarchical sketch-then-exact scheme
+//!   ([`solve_hierarchical_streamed`]). Records wall-clock, profit, the
+//!   process's peak RSS (self-measured from `/proc/self/status`
+//!   `VmHWM`, no dependencies), and — where the flat solve is still
+//!   tractable — the hierarchical-vs-flat profit gap, asserted within
+//!   the documented one-sided [`PROFIT_BAND`]. Rows of 100k clients and
+//!   beyond gate peak RSS against a per-size budget; the 10k row
+//!   additionally re-runs the hierarchical solve single-threaded and
+//!   asserts the profit bit-identical to the pooled run.
 //! * **E5h — intra-solve fan-out.** A *single* paper-scale solve
 //!   (`num_init_solns = 1`, so the restart fan-out of E5c contributes
 //!   nothing) with one worker vs eight. This isolates the per-cluster
@@ -83,7 +73,7 @@
 //!
 //! The per-seed records of every section are always written as JSON
 //! (default `BENCH_speedup.json`, override with `--json`). `--smoke` runs
-//! the E5d/E5e/E5f/E5g/E5h equivalence assertions on tiny configurations
+//! the E5d/E5e/E5g/E5h equivalence assertions on tiny configurations
 //! plus the E5i scale rows up to 100k clients — the CI gate: the process
 //! exits non-zero when any pair of paths disagrees, a profit leaves the
 //! hierarchical band, or the peak RSS blows its budget. `--smoke --deep`
@@ -95,8 +85,8 @@ use std::time::Instant;
 use serde::Serialize;
 
 use cloudalloc_core::{
-    best_cluster, best_cluster_aos, best_cluster_reference, commit, greedy_pass, solve,
-    solve_hierarchical_streamed, Candidate, HierConfig, SolverConfig, SolverCtx, PROFIT_BAND,
+    best_cluster, best_cluster_reference, commit, greedy_pass, solve, solve_hierarchical_streamed,
+    Candidate, HierConfig, SolverConfig, SolverCtx, PROFIT_BAND,
 };
 use cloudalloc_distributed::greedy_distributed_timed;
 use cloudalloc_metrics::Table;
@@ -323,22 +313,6 @@ struct TelemetryOverheadRecord {
     flight_profit: Option<f64>,
 }
 
-/// Per-seed record of the compiled (structure-of-arrays) vs retained
-/// array-of-structs search comparison (E5f).
-#[derive(Debug, Serialize)]
-struct LoweringRecord {
-    seed: u64,
-    clients: usize,
-    servers: usize,
-    granularity: usize,
-    searches: usize,
-    aos_seconds: f64,
-    compiled_seconds: f64,
-    speedup: f64,
-    aos_profit: f64,
-    compiled_profit: f64,
-}
-
 /// Per-seed record of the incremental-repair vs full-re-solve comparison
 /// on a fault scenario (E5g).
 #[derive(Debug, Serialize)]
@@ -385,7 +359,6 @@ struct SpeedupReport {
     intra_solve: Vec<IntraSolveRecord>,
     candidate_search: Vec<CandidateSearchRecord>,
     telemetry_overhead: Vec<TelemetryOverheadRecord>,
-    lowering: Vec<LoweringRecord>,
     repair: Vec<RepairLatencyRecord>,
     scale: Vec<ScaleRecord>,
 }
@@ -1070,179 +1043,6 @@ fn bench_candidate_search(base_seed: u64, smoke: bool) -> Vec<CandidateSearchRec
     records
 }
 
-/// The E5f workload: the same construction + re-search sweep as E5d, but
-/// with the search routine injected so the compiled and AoS paths run the
-/// identical dedup/pruning machinery on identical allocation states.
-fn run_lowering_searches(
-    system: &cloudalloc_model::CloudSystem,
-    ctx: &SolverCtx<'_>,
-    search: &dyn Fn(&SolverCtx<'_>, &Allocation, ClientId) -> Option<Candidate>,
-) -> (f64, usize, f64) {
-    let mut alloc = Allocation::new(system);
-    let mut searches = 0;
-    let begin = Instant::now();
-    for i in 0..system.num_clients() {
-        searches += 1;
-        if let Some(cand) = search(ctx, &alloc, ClientId(i)) {
-            commit(ctx, &mut alloc, ClientId(i), &cand);
-        }
-    }
-    for i in 0..system.num_clients() {
-        if alloc.cluster_of(ClientId(i)).is_none() {
-            continue;
-        }
-        alloc.clear_client(system, ClientId(i));
-        searches += 1;
-        if let Some(cand) = search(ctx, &alloc, ClientId(i)) {
-            commit(ctx, &mut alloc, ClientId(i), &cand);
-        }
-    }
-    let seconds = begin.elapsed().as_secs_f64();
-    (evaluate(system, &alloc).profit, searches, seconds)
-}
-
-/// Untimed E5f verification: both paths in lock-step, every candidate
-/// asserted bitwise identical, final profits asserted bit-equal.
-fn verify_lowering_searches(
-    system: &cloudalloc_model::CloudSystem,
-    ctx: &SolverCtx<'_>,
-) -> (f64, f64) {
-    let mut compiled_alloc = Allocation::new(system);
-    let mut aos_alloc = Allocation::new(system);
-    let step = |compiled_alloc: &mut Allocation, aos_alloc: &mut Allocation, i: usize| {
-        let compiled = best_cluster(ctx, compiled_alloc, ClientId(i));
-        let aos = best_cluster_aos(ctx, aos_alloc, ClientId(i));
-        assert_candidates_identical(&compiled, &aos, &format!("client {i} (compiled vs aos)"));
-        if let Some(cand) = compiled {
-            commit(ctx, compiled_alloc, ClientId(i), &cand);
-            commit(ctx, aos_alloc, ClientId(i), &cand);
-        }
-    };
-    for i in 0..system.num_clients() {
-        step(&mut compiled_alloc, &mut aos_alloc, i);
-    }
-    for i in 0..system.num_clients() {
-        if compiled_alloc.cluster_of(ClientId(i)).is_none() {
-            continue;
-        }
-        compiled_alloc.clear_client(system, ClientId(i));
-        aos_alloc.clear_client(system, ClientId(i));
-        step(&mut compiled_alloc, &mut aos_alloc, i);
-    }
-    let compiled_profit = evaluate(system, &compiled_alloc).profit;
-    let aos_profit = evaluate(system, &aos_alloc).profit;
-    assert_eq!(
-        compiled_profit.to_bits(),
-        aos_profit.to_bits(),
-        "compiled/aos candidate-search profits must be bit-identical"
-    );
-    (aos_profit, compiled_profit)
-}
-
-fn bench_lowering(base_seed: u64, smoke: bool) -> Vec<LoweringRecord> {
-    let mut table = Table::new(vec![
-        "seed".into(),
-        "servers".into(),
-        "searches".into(),
-        "aos".into(),
-        "compiled".into(),
-        "speedup".into(),
-        "profit_aos".into(),
-        "profit_compiled".into(),
-    ]);
-    let (clients, seeds) = if smoke { (16, 1) } else { (SCORING_CLIENTS, SCORING_SEEDS as u64) };
-    // Heterogeneous residual loads (every server carries a distinct
-    // background load) defeat the signature dedup, so the search builds
-    // one curve per server — the regime the lowering targets: the AoS
-    // path recomputes the per-level service-rate divisions and sqrt terms
-    // for every curve, while the compiled path derives each curve from
-    // the per-class constant table it built once.
-    let granularity = SolverConfig::default().alpha_granularity;
-    println!(
-        "E5f — candidate search, compiled structure-of-arrays vs retained \
-         array-of-structs (N={clients}, all servers background-loaded, \
-         granularity {granularity}, best of {SEARCH_REPS} reps per path)"
-    );
-    let mut records = Vec::new();
-    for offset in 0..seeds {
-        let seed = base_seed.wrapping_add(offset);
-        let mut scenario = if smoke {
-            let mut cfg = ScenarioConfig::small(clients);
-            cfg.servers_per_class = Range::new(1.0, 2.0);
-            cfg
-        } else {
-            ScenarioConfig::paper(clients)
-        };
-        scenario.background_fraction = 1.0;
-        let system = generate(&scenario, seed);
-        let solver = SolverConfig { alpha_granularity: granularity, ..SolverConfig::default() };
-        let ctx = SolverCtx::new(&system, &solver);
-
-        // Correctness first, untimed: every candidate bit-for-bit equal.
-        let (aos_profit, compiled_profit) = verify_lowering_searches(&system, &ctx);
-
-        let mut aos_seconds = f64::INFINITY;
-        let mut compiled_seconds = f64::INFINITY;
-        let mut searches = 0;
-        for _ in 0..SEARCH_REPS {
-            let (_, n, t) = run_lowering_searches(&system, &ctx, &best_cluster_aos);
-            aos_seconds = aos_seconds.min(t);
-            let (_, n2, t) = run_lowering_searches(&system, &ctx, &best_cluster);
-            compiled_seconds = compiled_seconds.min(t);
-            assert_eq!(n, n2, "both paths must perform the same searches");
-            searches = n;
-        }
-        let speedup = aos_seconds / compiled_seconds;
-        table.row(vec![
-            seed.to_string(),
-            system.num_servers().to_string(),
-            searches.to_string(),
-            format!("{aos_seconds:.4}s"),
-            format!("{compiled_seconds:.4}s"),
-            format!("{speedup:.2}x"),
-            format!("{aos_profit:.4}"),
-            format!("{compiled_profit:.4}"),
-        ]);
-        records.push(LoweringRecord {
-            seed,
-            clients,
-            servers: system.num_servers(),
-            granularity,
-            searches,
-            aos_seconds,
-            compiled_seconds,
-            speedup,
-            aos_profit,
-            compiled_profit,
-        });
-    }
-    println!("{table}");
-    println!(
-        "expected shape: identical profits by construction (asserted bitwise);\n\
-         the structure-of-arrays lowering and per-class level-constant tables\n\
-         beat per-curve recomputation, more so the less the signature dedup\n\
-         can merge (heterogeneous loads, as here)\n"
-    );
-    records
-}
-
-/// Rebuilds an allocation against another (here: masked) system so its
-/// cached per-server aggregates start from that system's background
-/// loads — the precondition for lowering it into a scored view.
-fn rebuild_on(system: &cloudalloc_model::CloudSystem, alloc: &Allocation) -> Allocation {
-    let mut fresh = Allocation::new(system);
-    for i in 0..system.num_clients() {
-        let client = ClientId(i);
-        if let Some(cluster) = alloc.cluster_of(client) {
-            fresh.assign_cluster(client, cluster);
-            for &(server, placement) in alloc.placements(client) {
-                fresh.place(system, client, server, placement);
-            }
-        }
-    }
-    fresh
-}
-
 fn bench_repair_latency(base_seed: u64, smoke: bool) -> Vec<RepairLatencyRecord> {
     use cloudalloc_core::ops;
     let mut table = Table::new(vec![
@@ -1278,22 +1078,10 @@ fn bench_repair_latency(base_seed: u64, smoke: bool) -> Vec<RepairLatencyRecord>
         let failed: Vec<ServerId> = active[..(active.len() / 5).max(1)].to_vec();
         let masked = system.with_failed_servers(&failed);
         let ctx = SolverCtx::new(&masked, &solver);
-        let stale = rebuild_on(&masked, &alloc);
+        let stale = alloc.replayed_onto(&masked);
 
         // The baseline the repair must beat: drop every victim outright.
-        let mut naive = stale.clone();
-        let mut dead = vec![false; masked.num_servers()];
-        for &s in &failed {
-            dead[s.index()] = true;
-        }
-        let mut victims = 0;
-        for i in 0..masked.num_clients() {
-            let client = ClientId(i);
-            if naive.placements(client).iter().any(|&(s, _)| dead[s.index()]) {
-                naive.clear_client(&masked, client);
-                victims += 1;
-            }
-        }
+        let (naive, victims) = ops::drop_victims(&masked, &stale, &failed);
         let naive_profit = evaluate(&masked, &naive).profit;
 
         let mut repair = (f64::INFINITY, 0.0);
@@ -1503,14 +1291,13 @@ fn main() {
     args.init_telemetry();
     let path = args.json.clone().unwrap_or_else(|| "BENCH_speedup.json".into());
     if args.smoke {
-        // CI smoke gate: the E5d/E5f equivalence assertions, the E5e
+        // CI smoke gate: the E5d equivalence assertions, the E5e
         // telemetry bit-identity assertion, the E5h intra-solve
         // thread-invariance assertion (tiny configs), and the E5i scale
         // rows (10k with flat comparison, 100k hierarchical + RSS gate;
         // --deep adds the budget-bounded million-client row).
         let candidate_search = bench_candidate_search(args.seed, true);
         let telemetry_overhead = bench_telemetry_overhead(args.seed, true);
-        let lowering = bench_lowering(args.seed, true);
         let repair = bench_repair_latency(args.seed, true);
         let intra_solve = bench_intra_solve(args.seed, true);
         let scale = bench_scale(args.seed, true, args.deep);
@@ -1520,7 +1307,6 @@ fn main() {
             intra_solve,
             candidate_search,
             telemetry_overhead,
-            lowering,
             repair,
             scale,
         };
@@ -1536,7 +1322,6 @@ fn main() {
     let intra_solve = bench_intra_solve(args.seed, false);
     let candidate_search = bench_candidate_search(args.seed, false);
     let telemetry_overhead = bench_telemetry_overhead(args.seed, false);
-    let lowering = bench_lowering(args.seed, false);
     let repair = bench_repair_latency(args.seed, false);
     let scale = bench_scale(args.seed, false, true);
 
@@ -1546,7 +1331,6 @@ fn main() {
         intra_solve,
         candidate_search,
         telemetry_overhead,
-        lowering,
         repair,
         scale,
     };

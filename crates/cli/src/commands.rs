@@ -6,9 +6,11 @@ use std::fmt;
 use std::fs;
 
 use cloudalloc_baselines::{modified_ps, monte_carlo, McConfig, PsConfig};
-use cloudalloc_core::{solve, solve_hierarchical, HierConfig, HierError, SolverConfig};
+use cloudalloc_core::{solve, solve_hierarchical_streamed, HierConfig, HierError, SolverConfig};
 use cloudalloc_metrics::Table;
-use cloudalloc_model::{check_feasibility, evaluate, Allocation, CloudSystem, Violation};
+use cloudalloc_model::{
+    check_feasibility, evaluate, Allocation, CloudSystem, LoweredClients, Violation,
+};
 use cloudalloc_simulator::{
     simulate, validate, FailureConfig, GpsMode, RoutingPolicy, ServiceDistribution, SimConfig,
 };
@@ -214,7 +216,10 @@ fn cmd_solve(parsed: &Parsed) -> Result<String, CliError> {
     let hier = HierConfig::try_new(group_size, budget_mib)?;
     let telemetry_path = telemetry_begin(parsed)?;
     let result = if parsed.switch("--hierarchical") {
-        solve_hierarchical(&system, &config, &hier, seed)
+        // The file is already in memory, so lower it in one chunk.
+        let mut clients = LoweredClients::new(system.num_clients(), system.server_classes().len());
+        clients.push_chunk(system.server_classes(), system.utility_classes(), system.clients());
+        solve_hierarchical_streamed(&system, clients, &config, &hier, seed)
     } else {
         solve(&system, &config, seed)
     };

@@ -27,8 +27,7 @@
 //!   [`cloudalloc_model::CompiledSystem`] lowering owned by the context
 //!   (flat per-server capacity/cost arrays, the dense cluster-major
 //!   server permutation, precomputed per-(class, client) service rates),
-//!   never from the AoS frontend model. The pre-lowering AoS fast path is
-//!   retained verbatim in [`crate::assign_aos`] for triangulation.
+//!   never from the AoS frontend model.
 //! - **Per-class level tables** — the load-independent constants of every
 //!   grid level (stability floors, closed-form share terms, power cost)
 //!   are computed once per hardware class per search and reused by every
@@ -90,11 +89,10 @@ pub(crate) struct Level {
 /// is feasible.
 ///
 /// The curve depends on the server only through `(class, load)`, which is
-/// what makes run deduplication sound. This is the AoS evaluator, shared
-/// by the exhaustive reference path and the retained
-/// [`crate::assign_aos`] fast path; the compiled fast path produces
+/// what makes run deduplication sound. This is the AoS evaluator of the
+/// exhaustive reference path; the compiled fast path produces
 /// bitwise-identical curves from precomputed [`LevelConst`] tables.
-pub(crate) fn push_curve(
+fn push_curve(
     ctx: &SolverCtx<'_>,
     client: ClientId,
     class: &ServerClass,
@@ -289,9 +287,8 @@ pub fn assign_distribute(
 /// per-cluster slack pruning, run-deduplicated curves/DP, and all system
 /// facts read from the [`cloudalloc_model::CompiledSystem`] lowering
 /// through per-class level-constant tables. Its output is bit-for-bit
-/// identical to [`assign_distribute_reference`] (and to the retained AoS
-/// path in [`crate::assign_aos`]) — see the module docs for why each
-/// shortcut is exact.
+/// identical to [`assign_distribute_reference`] — see the module docs for
+/// why each shortcut is exact.
 pub fn assign_distribute_excluding(
     ctx: &SolverCtx<'_>,
     alloc: &Allocation,
@@ -496,7 +493,7 @@ pub fn assign_distribute_excluding(
 /// Exact score: true utility minus true cost deltas. Shared by the fast
 /// and reference paths; reads every fact from the compiled lowering (the
 /// values are copies of the frontend fields, so the arithmetic is
-/// bit-identical to the AoS scorer in [`crate::assign_aos`]).
+/// bit-identical to scoring through the frontend accessors).
 fn finish_candidate(
     ctx: &SolverCtx<'_>,
     alloc: &Allocation,

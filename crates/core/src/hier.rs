@@ -7,8 +7,8 @@
 //! all of that work is spent rejecting clusters the client was never
 //! going to win.
 //!
-//! [`solve_hierarchical`] cuts the coupling with a streamed, two-level
-//! scheme over the *compiled* view of the system:
+//! [`solve_hierarchical_streamed`] cuts the coupling with a streamed,
+//! two-level scheme over the *compiled* view of the system:
 //!
 //! 1. **Sketch pass** — clusters are partitioned into contiguous
 //!    *groups* of [`HierConfig::effective_group_size`] clusters. Each
@@ -377,12 +377,15 @@ fn plan_waves(
     waves
 }
 
-/// Runs the hierarchical scheme: sketch pass, budget-bounded waves of
-/// per-group exact solves fanned over the solver pool, serial stitch,
-/// full re-evaluation. Lowers the system once
-/// ([`CompiledSystem::new`]) and extracts every group sub-problem from
-/// the compiled arrays; callers already holding a streamed lowering
-/// should use [`solve_hierarchical_streamed`] to skip this step.
+/// Runs the hierarchical scheme on a population lowered ahead of time:
+/// sketch pass, budget-bounded waves of per-group exact solves fanned
+/// over the solver pool, serial stitch, full re-evaluation. Every group
+/// sub-problem is extracted from the compiled arrays, so the population
+/// is lowered exactly once — by the caller, either streamed through
+/// [`LoweredClients::push_chunk`] as a generator draws it or in one
+/// chunk (what [`CompiledSystem::new`] does). Streamed and one-shot
+/// lowerings are bit-identical by construction, so both give the same
+/// result.
 ///
 /// The returned [`SolveResult`] reports the stitched allocation and its
 /// exact profit; `initial_profit` aggregates the groups' greedy starts
@@ -391,33 +394,9 @@ fn plan_waves(
 ///
 /// # Panics
 ///
-/// Panics if `config` fails [`SolverConfig::validate`] or `hier` fails
-/// [`HierConfig::validate`].
-pub fn solve_hierarchical(
-    system: &CloudSystem,
-    config: &SolverConfig,
-    hier: &HierConfig,
-    seed: u64,
-) -> SolveResult {
-    let _span = telemetry::span!("hier.total");
-    let compiled = {
-        let _span = telemetry::span!("hier.lower");
-        CompiledSystem::new(system)
-    };
-    solve_hier_compiled(&compiled, config, hier, seed)
-}
-
-/// [`solve_hierarchical`] for a population lowered ahead of time — the
-/// datacenter-scale path: a generator that streamed its clients through
-/// [`LoweredClients::push_chunk`] hands the finished arrays straight to
-/// the solve, which never re-lowers them. Bit-identical to
-/// [`solve_hierarchical`] on the same inputs (streamed and batch
-/// lowerings are bit-identical by construction).
-///
-/// # Panics
-///
-/// Panics if the configs fail validation or `clients` disagrees with
-/// `system` (incomplete, or a different population).
+/// Panics if `config` fails [`SolverConfig::validate`], `hier` fails
+/// [`HierConfig::validate`], or `clients` disagrees with `system`
+/// (incomplete, or a different population).
 pub fn solve_hierarchical_streamed(
     system: &CloudSystem,
     clients: LoweredClients,
@@ -426,22 +405,11 @@ pub fn solve_hierarchical_streamed(
     seed: u64,
 ) -> SolveResult {
     let _span = telemetry::span!("hier.total");
-    let compiled = compile_streamed(system, clients);
-    solve_hier_compiled(&compiled, config, hier, seed)
-}
-
-/// The shared body: everything after the parent lowering exists.
-fn solve_hier_compiled(
-    compiled: &CompiledSystem<'_>,
-    config: &SolverConfig,
-    hier: &HierConfig,
-    seed: u64,
-) -> SolveResult {
+    let compiled = &compile_streamed(system, clients);
     config.validate();
     if let Err(e) = hier.validate() {
         panic!("{e}");
     }
-    let system = compiled.system();
     let num_classes = compiled.server_classes().len();
     let group_size = hier.effective_group_size(
         compiled.num_clusters(),
@@ -571,6 +539,18 @@ mod tests {
     use cloudalloc_workload::{generate, ScenarioConfig};
     use proptest::prelude::*;
 
+    /// The one entry on a one-shot lowering, as the CLI drives it.
+    fn solve_hier(
+        system: &CloudSystem,
+        config: &SolverConfig,
+        hier: &HierConfig,
+        seed: u64,
+    ) -> SolveResult {
+        let mut clients = LoweredClients::new(system.num_clients(), system.server_classes().len());
+        clients.push_chunk(system.server_classes(), system.utility_classes(), system.clients());
+        solve_hierarchical_streamed(system, clients, config, hier, seed)
+    }
+
     /// Full bit-for-bit equality of two hierarchical results.
     fn assert_identical(a: &SolveResult, b: &SolveResult, what: &str) {
         assert_eq!(a.allocation, b.allocation, "{what}: allocation diverged");
@@ -592,7 +572,7 @@ mod tests {
         let system = generate(&ScenarioConfig::paper(24), 91);
         let config = SolverConfig::fast();
         let flat = solve(&system, &config, 7);
-        let hier = solve_hierarchical(&system, &config, &HierConfig::fixed(100), 7);
+        let hier = solve_hier(&system, &config, &HierConfig::fixed(100), 7);
         assert_eq!(hier.allocation, flat.allocation);
         assert_eq!(hier.report.profit.to_bits(), flat.report.profit.to_bits());
         assert_eq!(hier.initial_profit.to_bits(), flat.initial_profit.to_bits());
@@ -602,7 +582,7 @@ mod tests {
     fn hierarchical_solutions_are_feasible() {
         let system = generate(&ScenarioConfig::paper(40), 92);
         let config = SolverConfig::fast();
-        let result = solve_hierarchical(&system, &config, &HierConfig::fixed(2), 5);
+        let result = solve_hier(&system, &config, &HierConfig::fixed(2), 5);
         assert!(result.report.profit.is_finite());
         assert!(check_feasibility(&system, &result.allocation)
             .iter()
@@ -616,11 +596,11 @@ mod tests {
         let hier = HierConfig::fixed(2);
         let base = {
             let config = SolverConfig { num_threads: Some(1), ..SolverConfig::fast() };
-            solve_hierarchical(&system, &config, &hier, 11)
+            solve_hier(&system, &config, &hier, 11)
         };
         for threads in [2, 4, 8] {
             let config = SolverConfig { num_threads: Some(threads), ..SolverConfig::fast() };
-            let result = solve_hierarchical(&system, &config, &hier, 11);
+            let result = solve_hier(&system, &config, &hier, 11);
             assert_identical(&base, &result, &format!("threads={threads}"));
         }
     }
@@ -657,7 +637,7 @@ mod tests {
             let system = generate(&ScenarioConfig::paper(60), seed);
             let config = SolverConfig::fast();
             let flat = solve(&system, &config, 9);
-            let hier = solve_hierarchical(&system, &config, &HierConfig::fixed(2), 9);
+            let hier = solve_hier(&system, &config, &HierConfig::fixed(2), 9);
             assert!(flat.report.profit > 0.0, "fixture must be profitable");
             assert!(
                 hier.report.profit >= (1.0 - PROFIT_BAND) * flat.report.profit,
@@ -690,25 +670,25 @@ mod tests {
         // output must match the single-wave run bit for bit.
         let system = generate(&ScenarioConfig::paper(40), 92);
         let config = SolverConfig::fast();
-        let unbounded = solve_hierarchical(&system, &config, &HierConfig::fixed(1), 5);
+        let unbounded = solve_hier(&system, &config, &HierConfig::fixed(1), 5);
         let bounded =
             HierConfig { group_size: Some(1), memory_budget: Some(MemoryBudget::from_bytes(1)) };
-        let waved = solve_hierarchical(&system, &config, &bounded, 5);
+        let waved = solve_hier(&system, &config, &bounded, 5);
         assert_identical(&unbounded, &waved, "one-byte budget");
     }
 
     #[test]
-    fn streamed_entry_matches_the_batch_entry() {
+    fn chunked_lowering_matches_the_one_shot_lowering() {
         let system = generate(&ScenarioConfig::paper(30), 96);
         let config = SolverConfig::fast();
         let hier = HierConfig::fixed(2);
-        let batch = solve_hierarchical(&system, &config, &hier, 13);
+        let one_shot = solve_hier(&system, &config, &hier, 13);
         let mut clients = LoweredClients::new(system.num_clients(), system.server_classes().len());
         for chunk in system.clients().chunks(7) {
             clients.push_chunk(system.server_classes(), system.utility_classes(), chunk);
         }
         let streamed = solve_hierarchical_streamed(&system, clients, &config, &hier, 13);
-        assert_identical(&batch, &streamed, "streamed entry");
+        assert_identical(&one_shot, &streamed, "7-client chunks");
     }
 
     #[test]
@@ -750,7 +730,7 @@ mod tests {
     #[should_panic(expected = "at least one cluster per group")]
     fn zero_group_size_is_rejected() {
         let system = generate(&ScenarioConfig::small(4), 1);
-        let _ = solve_hierarchical(
+        let _ = solve_hier(
             &system,
             &SolverConfig::fast(),
             &HierConfig { group_size: Some(0), memory_budget: None },
@@ -778,8 +758,8 @@ mod tests {
                 system.num_clients(),
                 system.server_classes().len(),
             );
-            let a = solve_hierarchical(&system, &config, &adaptive, 3);
-            let f = solve_hierarchical(&system, &config, &HierConfig::fixed(resolved), 3);
+            let a = solve_hier(&system, &config, &adaptive, 3);
+            let f = solve_hier(&system, &config, &HierConfig::fixed(resolved), 3);
             assert_identical(&a, &f, &format!("clients={clients} seed={seed}"));
         }
 
@@ -792,12 +772,12 @@ mod tests {
         ) {
             let system = generate(&ScenarioConfig::paper(30), 97);
             let config = SolverConfig::fast();
-            let unbounded = solve_hierarchical(&system, &config, &HierConfig::fixed(1), seed);
+            let unbounded = solve_hier(&system, &config, &HierConfig::fixed(1), seed);
             let bounded = HierConfig {
                 group_size: Some(1),
                 memory_budget: Some(MemoryBudget::from_bytes(budget_bytes)),
             };
-            let waved = solve_hierarchical(&system, &config, &bounded, seed);
+            let waved = solve_hier(&system, &config, &bounded, seed);
             assert_identical(&unbounded, &waved, &format!("budget={budget_bytes} seed={seed}"));
         }
     }

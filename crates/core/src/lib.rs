@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod assign;
-mod assign_aos;
 mod bounds;
 mod config;
 mod ctx;
@@ -58,14 +57,11 @@ pub use assign::{
     assign_distribute, assign_distribute_excluding, assign_distribute_reference, best_cluster,
     best_cluster_reference, commit, commit_scored, Candidate,
 };
-pub use assign_aos::{assign_distribute_aos, best_cluster_aos};
 pub use bounds::{client_bounds, profit_upper_bound, ClientBound};
 pub use config::SolverConfig;
 pub use ctx::SolverCtx;
 pub use explain::{cluster_digests, explain, ClusterDigest};
-pub use hier::{
-    solve_hierarchical, solve_hierarchical_streamed, HierConfig, HierError, PROFIT_BAND,
-};
+pub use hier::{solve_hierarchical_streamed, HierConfig, HierError, PROFIT_BAND};
 pub use initial::{best_initial, greedy_pass, random_assignment};
 pub use solve::{
     improve, improve_scored, solve, solve_prelowered, solve_restarts, SearchStats, SolveResult,

@@ -14,7 +14,8 @@ mod turnon;
 pub use disperse::adjust_dispersion_rates;
 pub use reassign::reassign_clients;
 pub use repair::{
-    repair_failed_servers, repair_failed_servers_within, shed_unprofitable, RepairStats,
+    drop_victims, repair_failed_servers, repair_failed_servers_within, shed_unprofitable,
+    RepairStats,
 };
 pub use shares::{adjust_resource_shares, rebalance_server_shares};
 pub use swap::swap_clients;

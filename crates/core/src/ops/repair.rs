@@ -16,7 +16,9 @@
 //! journaled [`ScoredAllocation`], the same machinery as the local-search
 //! operators, so repair composes with everything else bit-for-bit.
 
-use cloudalloc_model::{ClientId, ClusterId, Placement, ScoredAllocation, ServerId};
+use cloudalloc_model::{
+    Allocation, ClientId, CloudSystem, ClusterId, Placement, ScoredAllocation, ServerId,
+};
 use cloudalloc_telemetry as telemetry;
 
 use crate::assign::{assign_distribute, best_cluster, commit_scored, Candidate};
@@ -97,10 +99,7 @@ fn repair_impl(
     if failed.is_empty() {
         return stats;
     }
-    let mut dead = vec![false; ctx.system.num_servers()];
-    for &s in failed {
-        dead[s.index()] = true;
-    }
+    let dead = dead_mask(ctx.system, failed);
     for i in 0..ctx.system.num_clients() {
         let client = ClientId(i);
         if let Some(k) = within {
@@ -135,6 +134,37 @@ fn repair_impl(
         scored.commit();
     }
     stats
+}
+
+/// The naive repair every rescue is measured against: drops each client
+/// that holds a placement on a failed server. `stale` is the standing
+/// allocation already replayed onto `masked`. Returns the trimmed
+/// allocation and the number of clients dropped.
+pub fn drop_victims(
+    masked: &CloudSystem,
+    stale: &Allocation,
+    failed: &[ServerId],
+) -> (Allocation, usize) {
+    let dead = dead_mask(masked, failed);
+    let mut naive = stale.clone();
+    let mut victims = 0;
+    for i in 0..masked.num_clients() {
+        let client = ClientId(i);
+        if naive.placements(client).iter().any(|&(s, _)| dead[s.index()]) {
+            naive.clear_client(masked, client);
+            victims += 1;
+        }
+    }
+    (naive, victims)
+}
+
+/// Per-server down flags for `failed`.
+fn dead_mask(system: &CloudSystem, failed: &[ServerId]) -> Vec<bool> {
+    let mut dead = vec![false; system.num_servers()];
+    for &s in failed {
+        dead[s.index()] = true;
+    }
+    dead
 }
 
 /// Removes `client`'s placements on dead servers (mandatory — not part of
@@ -337,7 +367,7 @@ pub fn shed_unprofitable(ctx: &SolverCtx<'_>, scored: &mut ScoredAllocation<'_>)
 mod tests {
     use super::*;
     use crate::config::SolverConfig;
-    use cloudalloc_model::{check_feasibility, evaluate, Allocation, CloudSystem, Violation};
+    use cloudalloc_model::{check_feasibility, evaluate, Violation};
     use cloudalloc_workload::{generate, ScenarioConfig};
 
     fn greedy_scored<'a>(ctx: &SolverCtx<'_>, system: &'a CloudSystem) -> ScoredAllocation<'a> {
@@ -350,40 +380,6 @@ mod tests {
             }
         }
         scored
-    }
-
-    /// Replays assignments and placements against a re-parameterized
-    /// system, recomputing the derived per-server aggregates (masking
-    /// changes the background loads the aggregates start from).
-    fn rebuild(system: &CloudSystem, alloc: &Allocation) -> Allocation {
-        let mut fresh = Allocation::new(system);
-        for i in 0..system.num_clients() {
-            let client = ClientId(i);
-            if let Some(cluster) = alloc.cluster_of(client) {
-                fresh.assign_cluster(client, cluster);
-                for &(server, placement) in alloc.placements(client) {
-                    fresh.place(system, client, server, placement);
-                }
-            }
-        }
-        fresh
-    }
-
-    /// Replays `alloc` onto `masked`, then drops every client that held a
-    /// placement on a failed server — the naive baseline repair must beat.
-    fn naive_drop(masked: &CloudSystem, alloc: &Allocation, failed: &[ServerId]) -> Allocation {
-        let mut dead = vec![false; masked.num_servers()];
-        for &s in failed {
-            dead[s.index()] = true;
-        }
-        let mut naive = rebuild(masked, alloc);
-        for i in 0..masked.num_clients() {
-            let client = ClientId(i);
-            if naive.placements(client).iter().any(|&(s, _)| dead[s.index()]) {
-                naive.clear_client(masked, client);
-            }
-        }
-        naive
     }
 
     /// Fails the first `count` servers that host at least one placement.
@@ -407,11 +403,11 @@ mod tests {
             let failed = pick_failed(&alloc, system.num_servers(), 2);
             assert!(!failed.is_empty(), "seed {seed} produced no loaded server");
             let masked = system.with_failed_servers(&failed);
-            let naive_profit = evaluate(&masked, &naive_drop(&masked, &alloc, &failed)).profit;
+            let stale = alloc.replayed_onto(&masked);
+            let naive_profit = evaluate(&masked, &drop_victims(&masked, &stale, &failed).0).profit;
 
             let masked_ctx = SolverCtx::new(&masked, &config);
-            let mut scored =
-                ScoredAllocation::lowered(&masked_ctx.compiled, rebuild(&masked, &alloc));
+            let mut scored = ScoredAllocation::lowered(&masked_ctx.compiled, stale);
             let stale_profit = scored.profit();
             let stats = repair_failed_servers(&masked_ctx, &mut scored, &failed);
             assert!(stats.victims > 0, "seed {seed}: failures must strand someone");
@@ -460,7 +456,8 @@ mod tests {
         let masked_ctx = SolverCtx::new(&masked, &config);
 
         let k = masked.server(failed[0]).cluster;
-        let mut scored = ScoredAllocation::lowered(&masked_ctx.compiled, rebuild(&masked, &alloc));
+        let mut scored =
+            ScoredAllocation::lowered(&masked_ctx.compiled, alloc.replayed_onto(&masked));
         repair_failed_servers_within(&masked_ctx, &mut scored, &failed, k);
         let repaired = scored.into_allocation();
         for i in 0..masked.num_clients() {
@@ -506,7 +503,7 @@ mod tests {
 
         let run = || {
             let mut scored =
-                ScoredAllocation::lowered(&masked_ctx.compiled, rebuild(&masked, &alloc));
+                ScoredAllocation::lowered(&masked_ctx.compiled, alloc.replayed_onto(&masked));
             let stats = repair_failed_servers(&masked_ctx, &mut scored, &failed);
             (stats, scored.into_allocation())
         };

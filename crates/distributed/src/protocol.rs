@@ -1,10 +1,10 @@
 //! The manager–agent protocol: scatter–gather greedy construction and
 //! per-cluster parallel local search.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -108,8 +108,8 @@ pub fn greedy_distributed_timed(
         let mut to_agents = Vec::with_capacity(k);
         let mut from_agents = Vec::with_capacity(k);
         for cluster in 0..k {
-            let (tx_cmd, rx_cmd) = unbounded::<ToAgent>();
-            let (tx_res, rx_res) = unbounded::<FromAgent>();
+            let (tx_cmd, rx_cmd) = channel::<ToAgent>();
+            let (tx_res, rx_res) = channel::<FromAgent>();
             // Agents share the manager's context (and its lowering) by
             // reference; the scope guarantees it outlives them.
             let agent_ctx = ctx;

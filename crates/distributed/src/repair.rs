@@ -98,20 +98,6 @@ mod tests {
     use cloudalloc_model::{check_feasibility, evaluate, CloudSystem, Violation};
     use cloudalloc_workload::{generate, ScenarioConfig};
 
-    fn rebuild(system: &CloudSystem, alloc: &Allocation) -> Allocation {
-        let mut fresh = Allocation::new(system);
-        for i in 0..system.num_clients() {
-            let client = ClientId(i);
-            if let Some(cluster) = alloc.cluster_of(client) {
-                fresh.assign_cluster(client, cluster);
-                for &(server, placement) in alloc.placements(client) {
-                    fresh.place(system, client, server, placement);
-                }
-            }
-        }
-        fresh
-    }
-
     fn scenario(seed: u64) -> (CloudSystem, Allocation, Vec<ServerId>) {
         let system = generate(&ScenarioConfig::small(16), seed);
         let config = SolverConfig::fast();
@@ -129,22 +115,11 @@ mod tests {
             let config = SolverConfig::fast();
             let ctx = SolverCtx::new(&masked, &config);
 
-            let mut naive = rebuild(&masked, &alloc);
-            let mut dead = vec![false; masked.num_servers()];
-            for &s in &failed {
-                dead[s.index()] = true;
-            }
-            let mut victims = 0;
-            for i in 0..masked.num_clients() {
-                let client = ClientId(i);
-                if naive.placements(client).iter().any(|&(s, _)| dead[s.index()]) {
-                    naive.clear_client(&masked, client);
-                    victims += 1;
-                }
-            }
+            let (naive, victims) =
+                ops::drop_victims(&masked, &alloc.replayed_onto(&masked), &failed);
             let naive_profit = evaluate(&masked, &naive).profit;
 
-            let mut repaired = rebuild(&masked, &alloc);
+            let mut repaired = alloc.replayed_onto(&masked);
             let stats = repair_distributed(&ctx, &mut repaired, &failed);
             assert_eq!(stats.victims, victims, "seed {seed}");
             let repaired_profit = evaluate(&masked, &repaired).profit;
@@ -169,7 +144,7 @@ mod tests {
         let config = SolverConfig::fast();
         let ctx = SolverCtx::new(&masked, &config);
         let run = || {
-            let mut repaired = rebuild(&masked, &alloc);
+            let mut repaired = alloc.replayed_onto(&masked);
             let stats = repair_distributed(&ctx, &mut repaired, &failed);
             (stats, repaired)
         };
@@ -189,11 +164,11 @@ mod tests {
         let config = SolverConfig::fast();
         let ctx = SolverCtx::new(&masked, &config);
 
-        let mut sequential = ScoredAllocation::lowered(&ctx.compiled, rebuild(&masked, &alloc));
+        let mut sequential = ScoredAllocation::lowered(&ctx.compiled, alloc.replayed_onto(&masked));
         ops::repair_failed_servers(&ctx, &mut sequential, &failed);
         let sequential_profit = sequential.profit();
 
-        let mut sharded = rebuild(&masked, &alloc);
+        let mut sharded = alloc.replayed_onto(&masked);
         repair_distributed(&ctx, &mut sharded, &failed);
         let sharded_profit = evaluate(&masked, &sharded).profit;
 

@@ -19,8 +19,10 @@
 //!   scores each epoch against the *actual* (realized) rates. Under
 //!   injected fault events
 //!   ([`FaultPlan`](cloudalloc_workload::FaultPlan)) it additionally
-//!   runs the repair → shed → escalate state machine ([`RepairPolicy`])
-//!   to rescue clients stranded on failed servers.
+//!   runs the repair → shed → escalate state machine
+//!   ([`repair_escalate`], tuned by [`RepairPolicy`]) to rescue clients
+//!   stranded on failed servers — the same machine the admission server
+//!   runs on faults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,8 +31,10 @@ mod drift;
 mod log;
 mod manager;
 mod predictor;
+mod repair;
 
 pub use drift::{DriftConfig, WorkloadDrift};
 pub use log::{OperationsLog, OperationsSummary};
-pub use manager::{EpochConfig, EpochManager, EpochReport, RepairPolicy, RepairReport};
+pub use manager::{EpochConfig, EpochManager, EpochReport};
 pub use predictor::{EwmaPredictor, LastValue, RatePredictor};
+pub use repair::{escalation_seed, repair_escalate, RepairPolicy, RepairReport};

@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn summary_aggregates_repairs() {
-        use crate::manager::RepairReport;
+        use crate::repair::RepairReport;
         let mut log = OperationsLog::new();
         let mut faulted = report(0, 10.0, 8.0, 0, false);
         faulted.repair = Some(RepairReport {

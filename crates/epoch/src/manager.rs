@@ -3,12 +3,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use cloudalloc_core::{improve, ops, solve, SolverConfig, SolverCtx};
-use cloudalloc_model::{evaluate, Allocation, ClientId, CloudSystem, ScoredAllocation, ServerId};
+use cloudalloc_core::{improve, solve, SolverConfig, SolverCtx};
+use cloudalloc_model::{evaluate, Allocation, ClientId, CloudSystem, ServerId};
 use cloudalloc_telemetry as telemetry;
 use cloudalloc_workload::{FaultEvent, FaultRecord};
 
 use crate::predictor::RatePredictor;
+use crate::repair::{escalation_seed, repair_escalate, RepairPolicy, RepairReport};
 
 /// Configuration of the epoch manager.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,61 +32,6 @@ impl Default for EpochConfig {
             repair: RepairPolicy::default(),
         }
     }
-}
-
-/// Policy of the repair → shed → escalate state machine that handles
-/// server failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RepairPolicy {
-    /// Escalate from incremental repair to a bounded full re-solve when
-    /// the repaired profit falls below this fraction of the pre-fault
-    /// expected profit (only meaningful when that reference is positive).
-    pub degradation_threshold: f64,
-    /// Extra escalation re-solves (each with a freshly derived seed)
-    /// allowed after the first, stopping early once the degradation
-    /// threshold is recovered — the retry/backoff budget.
-    pub max_resolve_retries: usize,
-}
-
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        Self { degradation_threshold: 0.5, max_resolve_retries: 2 }
-    }
-}
-
-/// What one mid-epoch repair did; attached to the [`EpochReport`] of the
-/// epoch whose fault events triggered it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RepairReport {
-    /// Servers down after applying this epoch's events.
-    pub failed_servers: usize,
-    /// Clients that held at least one placement on a dead server.
-    pub victims: usize,
-    /// Placements evicted from dead servers.
-    pub evicted: usize,
-    /// Victims rescued by re-dispersing their surviving branches.
-    pub redispersed: usize,
-    /// Victims rescued by full re-placement.
-    pub replaced: usize,
-    /// Victims shed because no profitable rescue existed.
-    pub shed: usize,
-    /// Clients shed by the follow-up admission sweep (lowest marginal
-    /// utility first).
-    pub shed_low_utility: usize,
-    /// Expected profit of the *stale* allocation on the failed system —
-    /// the "do nothing" outcome repair must beat.
-    pub stale_profit: f64,
-    /// Expected profit of the naive drop-every-victim baseline.
-    pub naive_profit: f64,
-    /// Expected profit after repair (and escalation, when triggered).
-    pub repaired_profit: f64,
-    /// Whether repair fell back to the naive baseline allocation.
-    pub used_naive_fallback: bool,
-    /// Whether profit degradation escalated repair to full re-solves.
-    pub escalated: bool,
-    /// Escalation re-solves actually attempted minus one (0-based retry
-    /// counter; 0 when escalation stopped after its first solve).
-    pub resolve_retries: usize,
 }
 
 /// Outcome of one epoch.
@@ -169,7 +115,7 @@ impl<P: RatePredictor> EpochManager<P> {
     /// Seed of the `retry`-th escalation re-solve of the *current* epoch.
     /// Public so tests can reproduce escalation results bit-for-bit.
     pub fn escalation_seed(&self, retry: u64) -> u64 {
-        (self.seed ^ 0xFA17_5EED).wrapping_add(retry.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        escalation_seed(self.seed, retry)
     }
 
     /// Closes the current epoch with the rates that actually occurred and
@@ -307,101 +253,28 @@ impl<P: RatePredictor> EpochManager<P> {
         EpochReport { resolved_fully, ..report }
     }
 
-    /// The repair → shed → escalate state machine, run mid-epoch against
-    /// the masked system:
-    ///
-    /// 1. **Repair**: evict victims from dead servers via the journaled
-    ///    incremental evaluator and rescue each with the most profitable
-    ///    of re-disperse / re-place / shed, then shed any remaining
-    ///    clients whose presence costs more than they earn. The result is
-    ///    floored at the naive drop-every-victim baseline (which itself
-    ///    dominates doing nothing — stranded clients earn zero revenue
-    ///    but still hold costly shares), so repaired profit is monotone
-    ///    versus both.
-    /// 2. **Escalate**: when the repaired profit falls below
-    ///    `degradation_threshold ×` the pre-fault expected profit, run
-    ///    bounded full re-solves with derived seeds, keeping the best
-    ///    allocation and stopping as soon as the threshold is recovered.
+    /// Runs [`repair_escalate`] mid-epoch against the masked predicted
+    /// system, measuring degradation against what this epoch was expected
+    /// to earn, and adopts its allocation.
     fn repair(&mut self, failed: &[ServerId]) -> RepairReport {
         let _span = telemetry::span!("epoch.repair");
         telemetry::counter!("epoch.repairs").incr();
 
-        // Pre-fault reference: what this epoch was expected to earn.
         let pre_fault = self.base.with_predicted_rates(&self.predicted);
         let reference = evaluate(&pre_fault, &self.allocation).profit;
         let masked = pre_fault.with_failed_servers(failed);
-
-        // Doing nothing: the stale allocation scored on the failed system.
         let stale = self.allocation.replayed_onto(&masked);
-        let stale_profit = evaluate(&masked, &stale).profit;
-
-        // Naive baseline: drop every client that touches a dead server.
-        let mut dead = vec![false; masked.num_servers()];
-        for &s in failed {
-            dead[s.index()] = true;
-        }
-        let mut naive = stale.clone();
-        for i in 0..masked.num_clients() {
-            let client = ClientId(i);
-            if naive.placements(client).iter().any(|&(s, _)| dead[s.index()]) {
-                naive.clear_client(&masked, client);
-            }
-        }
-        let naive_profit = evaluate(&masked, &naive).profit;
-
-        // Incremental repair plus the admission-control sweep.
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored = ScoredAllocation::lowered(&ctx.compiled, stale);
-        let stats = ops::repair_failed_servers(&ctx, &mut scored, failed);
-        let shed_low_utility = ops::shed_unprofitable(&ctx, &mut scored);
-        let mut repaired_profit = scored.profit();
-        let mut repaired = scored.into_allocation();
-        let mut used_naive_fallback = false;
-        if repaired_profit < naive_profit {
-            repaired = naive;
-            repaired_profit = naive_profit;
-            used_naive_fallback = true;
-        }
-
-        let mut escalated = false;
-        let mut resolve_retries = 0;
-        let floor = self.config.repair.degradation_threshold * reference;
-        if reference > 0.0 && repaired_profit < floor {
-            escalated = true;
-            telemetry::counter!("epoch.repair.escalations").incr();
-            let _span = telemetry::span!("epoch.repair.escalate");
-            for retry in 0..=self.config.repair.max_resolve_retries {
-                resolve_retries = retry;
-                let result =
-                    solve(&masked, &self.config.solver, self.escalation_seed(retry as u64));
-                let profit = evaluate(&masked, &result.allocation).profit;
-                if profit > repaired_profit {
-                    repaired_profit = profit;
-                    repaired = result.allocation;
-                    used_naive_fallback = false;
-                }
-                if repaired_profit >= floor {
-                    break;
-                }
-            }
-        }
+        let (repaired, report) = repair_escalate(
+            &masked,
+            stale,
+            failed,
+            reference,
+            &self.config.solver,
+            self.config.repair,
+            self.seed,
+        );
         self.allocation = repaired;
 
-        let report = RepairReport {
-            failed_servers: failed.len(),
-            victims: stats.victims,
-            evicted: stats.evicted,
-            redispersed: stats.redispersed,
-            replaced: stats.replaced,
-            shed: stats.shed,
-            shed_low_utility,
-            stale_profit,
-            naive_profit,
-            repaired_profit,
-            used_naive_fallback,
-            escalated,
-            resolve_retries,
-        };
         telemetry::Event::new("epoch.repair")
             .field_u64("epoch", self.epoch as u64)
             .field_u64("failed_servers", report.failed_servers as u64)

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use cloudalloc_core::{ops, solve, SolverConfig, SolverCtx};
 use cloudalloc_epoch::{EpochConfig, EpochManager, EwmaPredictor, RepairPolicy};
-use cloudalloc_model::{Allocation, ClientId, CloudSystem, ScoredAllocation, ServerId};
+use cloudalloc_model::{CloudSystem, ScoredAllocation, ServerId};
 use cloudalloc_workload::{generate, FaultPlan, FaultPlanConfig, ScenarioConfig};
 
 /// How far below a from-scratch re-solve on the surviving servers the
@@ -31,20 +31,6 @@ use cloudalloc_workload::{generate, FaultPlan, FaultPlanConfig, ScenarioConfig};
 /// re-solve is unbounded and benign: repair keeps structure a fast
 /// re-solve may fail to rediscover.
 const REPAIR_VS_RESOLVE_TOLERANCE: f64 = 0.5;
-
-fn rebuild(system: &CloudSystem, alloc: &Allocation) -> Allocation {
-    let mut fresh = Allocation::new(system);
-    for i in 0..system.num_clients() {
-        let client = ClientId(i);
-        if let Some(cluster) = alloc.cluster_of(client) {
-            fresh.assign_cluster(client, cluster);
-            for &(server, placement) in alloc.placements(client) {
-                fresh.place(system, client, server, placement);
-            }
-        }
-    }
-    fresh
-}
 
 fn manager(system: CloudSystem, policy: RepairPolicy, seed: u64) -> EpochManager<EwmaPredictor> {
     let base: Vec<f64> = system.clients().iter().map(|c| c.rate_predicted).collect();
@@ -117,7 +103,7 @@ proptest! {
 
         let masked = system.with_failed_servers(failed);
         let ctx = SolverCtx::new(&masked, &config);
-        let mut scored = ScoredAllocation::lowered(&ctx.compiled, rebuild(&masked, &alloc));
+        let mut scored = ScoredAllocation::lowered(&ctx.compiled, alloc.replayed_onto(&masked));
         ops::repair_failed_servers(&ctx, &mut scored, failed);
         ops::shed_unprofitable(&ctx, &mut scored);
         let repaired = scored.profit();

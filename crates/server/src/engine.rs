@@ -30,8 +30,8 @@
 //! seam; every randomized choice inside a fold or escalation derives its
 //! seed from the configured base seed and the epoch counter.
 
-use cloudalloc_core::{best_cluster, commit_scored, ops, solve, SolverConfig, SolverCtx};
-use cloudalloc_epoch::RepairPolicy;
+use cloudalloc_core::{best_cluster, commit_scored, ops, SolverConfig, SolverCtx};
+use cloudalloc_epoch::{repair_escalate, RepairPolicy};
 use cloudalloc_model::{evaluate, Allocation, ClientId, CloudSystem, ScoredAllocation, ServerId};
 use cloudalloc_protocol::{
     ClientMessage, LogPosition, ModelOp, RejectReason, ServerMessage, WirePlacement,
@@ -566,60 +566,25 @@ impl Engine {
         self.adopt(scored.into_allocation())
     }
 
-    /// The repair → shed → escalate state machine, mirroring the epoch
-    /// manager's: incremental repair floored at the naive drop-the-victims
-    /// baseline, escalating to bounded full re-solves when profit falls
-    /// below the degradation threshold of the pre-fault profit.
+    /// Runs the epoch loop's repair → shed → escalate machine
+    /// ([`repair_escalate`]) on the masked population, measuring
+    /// degradation against the pre-fault canonical profit, and adopts its
+    /// allocation.
     fn repair(&mut self) -> Vec<(LogPosition, ModelOp)> {
         let _span = telemetry::span!("serve.repair");
         telemetry::counter!("serve.repairs").incr();
-        let reference = self.profit;
         let failed = self.failed();
         let masked = self.population.with_failed_servers(&failed);
         let stale = self.alloc.replayed_onto(&masked);
-
-        // Naive baseline: drop every client that touches a dead server.
-        let mut dead = vec![false; masked.num_servers()];
-        for &s in &failed {
-            dead[s.index()] = true;
-        }
-        let mut naive = stale.clone();
-        for i in 0..masked.num_clients() {
-            let client = ClientId(i);
-            if naive.placements(client).iter().any(|&(s, _)| dead[s.index()]) {
-                naive.clear_client(&masked, client);
-            }
-        }
-        let naive_profit = evaluate(&masked, &naive).profit;
-
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored = ScoredAllocation::lowered(&ctx.compiled, stale);
-        ops::repair_failed_servers(&ctx, &mut scored, &failed);
-        ops::shed_unprofitable(&ctx, &mut scored);
-        let mut repaired = scored.into_allocation();
-        let mut repaired_profit = evaluate(&masked, &repaired).profit;
-        if repaired_profit < naive_profit {
-            repaired = naive;
-            repaired_profit = naive_profit;
-        }
-
-        let floor = self.config.repair.degradation_threshold * reference;
-        if reference > 0.0 && repaired_profit < floor {
-            telemetry::counter!("serve.repair.escalations").incr();
-            let _esc = telemetry::span!("serve.repair.escalate");
-            for retry in 0..=self.config.repair.max_resolve_retries {
-                let result =
-                    solve(&masked, &self.config.solver, self.escalation_seed(retry as u64));
-                let profit = evaluate(&masked, &result.allocation).profit;
-                if profit > repaired_profit {
-                    repaired_profit = profit;
-                    repaired = result.allocation;
-                }
-                if repaired_profit >= floor {
-                    break;
-                }
-            }
-        }
+        let (repaired, _) = repair_escalate(
+            &masked,
+            stale,
+            &failed,
+            self.profit,
+            &self.config.solver,
+            self.config.repair,
+            self.config.seed,
+        );
         self.adopt(repaired)
     }
 
@@ -786,10 +751,6 @@ impl Engine {
     fn fold_seed(&self) -> u64 {
         (self.config.seed ^ 0x5E87_E5EE_D000_0000)
             .wrapping_add(self.epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    fn escalation_seed(&self, retry: u64) -> u64 {
-        (self.config.seed ^ 0xFA17_5EED).wrapping_add(retry.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 

@@ -17,11 +17,12 @@
 
 use std::collections::BTreeSet;
 
-use cloudalloc::core::SolverConfig;
+use cloudalloc::core::{solve, SolverConfig};
+use cloudalloc::epoch::{escalation_seed, RepairPolicy};
 use cloudalloc::model::{check_feasibility, evaluate, ClientId, Violation};
 use cloudalloc::protocol::{ClientMessage, ModelOp, RejectReason, ServerMessage};
 use cloudalloc::server::{Engine, EngineConfig, LogicalClock};
-use cloudalloc::workload::{generate, FaultPlan, FaultPlanConfig, ScenarioConfig};
+use cloudalloc::workload::{generate, FaultEvent, FaultPlan, FaultPlanConfig, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -207,4 +208,44 @@ fn churn_storm_other_seed_also_holds() {
     // one particular storm shape.
     let trace = run_storm(37);
     assert!(trace.contains("final profit="));
+}
+
+#[test]
+fn forced_escalation_keeps_at_least_the_reproducible_resolve() {
+    // An infinite degradation threshold escalates every repair. The
+    // escalation re-solve is reproducible outside the engine from its
+    // documented seed, and the engine must adopt a plan at least as good.
+    for seed in [3_u64, 17, 41] {
+        let solver = SolverConfig { num_threads: Some(1), ..SolverConfig::fast() };
+        let config = EngineConfig {
+            solver: solver.clone(),
+            repair: RepairPolicy { degradation_threshold: f64::INFINITY, max_resolve_retries: 0 },
+            seed,
+            epoch_every: 0,
+            ..EngineConfig::default()
+        };
+        let mut engine =
+            Engine::new(generate(&ScenarioConfig::paper(CLIENTS), 9000 + seed), config);
+        let clock = LogicalClock::new(1);
+        for c in 0..CLIENTS {
+            engine.handle(&ClientMessage::Admit { req: c as u64, client: ClientId(c) }, &clock);
+        }
+        assert!(engine.profit() > 0.0, "seed {seed}: escalation needs a profitable reference");
+
+        let server = engine.allocation().active_servers().next().expect("someone was admitted");
+        let masked = engine.masked_population().with_failed_servers(&[server]);
+        let resolve = solve(&masked, &solver, escalation_seed(seed, 0));
+        let resolve_profit = evaluate(&masked, &resolve.allocation).profit;
+
+        engine.apply_faults(&[FaultEvent::ServerFail { server }]);
+        assert!(
+            engine.allocation().residents(server).is_empty(),
+            "seed {seed}: mass left on failed {server}"
+        );
+        assert!(
+            engine.profit() >= resolve_profit - 1e-9 * resolve_profit.abs(),
+            "seed {seed}: engine profit {} fell below the escalation re-solve {resolve_profit}",
+            engine.profit()
+        );
+    }
 }
