@@ -1,14 +1,5 @@
-//! Experiment **E5**: decision-time speedups, in three parts.
+//! Experiment **E5**: decision-time speedups, one section per mechanism.
 //!
-//! * **E5a — distributed greedy.** The paper argues the per-cluster agents
-//!   cut the decision time by roughly the number of clusters. This section
-//!   measures the greedy construction phase, sequential vs distributed, as
-//!   the cluster count grows (total server count held fixed). Wall-clock
-//!   speedup requires physical cores; on constrained machines (CI
-//!   containers often expose a single CPU) we additionally report the
-//!   **critical path** — the busiest agent's compute time — which is the
-//!   decision time on ideal parallel hardware and the quantity behind the
-//!   paper's ÷K claim.
 //! * **E5b — incremental scoring.** Replays an identical trace of local
 //!   moves through the journaled [`ScoredAllocation`] evaluator and
 //!   through from-scratch [`evaluate`] calls (the pre-incremental scoring
@@ -88,7 +79,6 @@ use cloudalloc_core::{
     best_cluster, best_cluster_reference, commit, greedy_pass, solve, solve_hierarchical_streamed,
     Candidate, HierConfig, SolverConfig, SolverCtx, PROFIT_BAND,
 };
-use cloudalloc_distributed::greedy_distributed_timed;
 use cloudalloc_metrics::Table;
 use cloudalloc_model::{
     evaluate, Allocation, ClientId, ClusterId, MemoryBudget, Placement, ScoredAllocation, ServerId,
@@ -361,77 +351,6 @@ struct SpeedupReport {
     telemetry_overhead: Vec<TelemetryOverheadRecord>,
     repair: Vec<RepairLatencyRecord>,
     scale: Vec<ScaleRecord>,
-}
-
-fn bench_distributed_greedy(seed: u64) {
-    // A fine dispersion grid makes each Assign_Distribute call expensive
-    // enough that the division of work dominates protocol overhead (the
-    // regime the paper's complexity analysis addresses).
-    let solver = SolverConfig { alpha_granularity: 40, ..SolverConfig::default() };
-    let mut table = Table::new(vec![
-        "clusters".into(),
-        "servers".into(),
-        "sequential".into(),
-        "dist_wall".into(),
-        "critical_path".into(),
-        "ideal_speedup".into(),
-        "profit_seq".into(),
-        "profit_dist".into(),
-    ]);
-    println!(
-        "E5a — greedy-phase decision time, sequential vs per-cluster agents \
-         (N={NUM_CLIENTS}, ~constant total servers, {REPS} reps, {} cores)",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    );
-    for clusters in [1usize, 2, 5, 10] {
-        // Hold the total server count roughly constant: fewer clusters get
-        // more servers per class.
-        let per_class = (20.0 / clusters as f64).max(1.0);
-        let config = ScenarioConfig {
-            num_clusters: clusters,
-            servers_per_class: Range::new(per_class, per_class),
-            ..ScenarioConfig::paper(NUM_CLIENTS)
-        };
-        let system = generate(&config, seed);
-        let ctx = SolverCtx::new(&system, &solver);
-        let order: Vec<ClientId> = (0..system.num_clients()).map(ClientId).collect();
-
-        let mut seq_time = f64::INFINITY;
-        let mut seq_profit = 0.0;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            let alloc = greedy_pass(&ctx, &order);
-            seq_time = seq_time.min(start.elapsed().as_secs_f64());
-            seq_profit = evaluate(&system, &alloc).profit;
-        }
-        let mut dist_wall = f64::INFINITY;
-        let mut critical = f64::INFINITY;
-        let mut dist_profit = 0.0;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            let (alloc, busy) = greedy_distributed_timed(&ctx, &order);
-            dist_wall = dist_wall.min(start.elapsed().as_secs_f64());
-            let path = busy.iter().map(|d| d.as_secs_f64()).fold(0.0, f64::max);
-            critical = critical.min(path);
-            dist_profit = evaluate(&system, &alloc).profit;
-        }
-        table.row(vec![
-            clusters.to_string(),
-            system.num_servers().to_string(),
-            format!("{seq_time:.3}s"),
-            format!("{dist_wall:.3}s"),
-            format!("{critical:.3}s"),
-            format!("{:.2}x", seq_time / critical),
-            format!("{seq_profit:.2}"),
-            format!("{dist_profit:.2}"),
-        ]);
-    }
-    println!("{table}");
-    println!(
-        "expected shape: ideal_speedup grows roughly linearly with the cluster count\n\
-         (paper: ÷K with K clusters, minus communication overhead); dist_wall only\n\
-         tracks it when the machine has as many free cores as clusters\n"
-    );
 }
 
 fn bench_incremental_scoring(base_seed: u64) -> Vec<ScoringRecord> {
@@ -1316,7 +1235,6 @@ fn main() {
         args.finish_telemetry();
         return;
     }
-    bench_distributed_greedy(args.seed);
     let scoring = bench_incremental_scoring(args.seed);
     let restarts = bench_restarts(args.seed);
     let intra_solve = bench_intra_solve(args.seed, false);

@@ -1,6 +1,5 @@
 //! The subcommand implementations.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -16,7 +15,6 @@ use cloudalloc_simulator::{
 };
 use cloudalloc_telemetry as telemetry;
 use cloudalloc_workload::{generate, FaultPlan, FaultRecord, ScenarioConfig};
-use serde::{Deserialize, Value};
 
 use crate::args::{ArgError, Parsed};
 
@@ -483,166 +481,6 @@ fn cmd_baseline(parsed: &Parsed) -> Result<String, CliError> {
     Ok(table.to_string())
 }
 
-/// Per-span-name aggregate built from `"span"` JSONL records.
-#[derive(Default)]
-struct SpanAgg {
-    count: u64,
-    total_ns: u64,
-    max_ns: u64,
-}
-
-fn jerr(e: serde::Error) -> CliError {
-    CliError::Json(e.into())
-}
-
-/// Summarizes a telemetry JSONL file (as produced by `--telemetry-out`):
-/// span timing aggregates, final counter values, histogram quantiles and
-/// a tally of every other event type. Works in every build — the report
-/// only *reads* JSONL, so it needs no telemetry feature.
-fn cmd_telemetry_report(parsed: &Parsed) -> Result<String, CliError> {
-    let path = parsed.require("--in")?;
-    let text = fs::read_to_string(path)?;
-
-    let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    // Counters keep their *last* flushed value: a run may flush more than
-    // once and each flush writes the cumulative total.
-    let mut counters: BTreeMap<String, String> = BTreeMap::new();
-    let mut hists: BTreeMap<String, [u64; 5]> = BTreeMap::new();
-    let mut events: BTreeMap<String, u64> = BTreeMap::new();
-    // Flight-recorder records are skipped here (this is the flat
-    // summary; `trace-report` owns the causal view) but counted, so a
-    // dense trace doesn't masquerade as a pile of domain events. A
-    // `span_start` whose matching `span` end (same id) is aggregated in
-    // the span table is the *same* span, not an extra record: ends
-    // consume their starts, and only unmatched (unclosed) starts are
-    // tallied as skipped.
-    let mut open_starts: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    let mut orphan_starts = 0u64;
-    let mut mem_samples = 0u64;
-    let mut lines = 0u64;
-
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        lines += 1;
-        let v: Value = serde_json::from_str(line).map_err(|e| {
-            CliError::Json(serde_json::Error::from(serde::Error::custom(format!(
-                "{path}:{}: {e}",
-                idx + 1
-            ))))
-        })?;
-        let ty = v.field("t").and_then(Value::as_str).map_err(jerr)?;
-        match ty {
-            "span" => {
-                let name = v.field("name").and_then(Value::as_str).map_err(jerr)?;
-                let ns = u64::from_value(v.field("ns").map_err(jerr)?).map_err(jerr)?;
-                let agg = spans.entry(name.to_string()).or_default();
-                agg.count += 1;
-                agg.total_ns += ns;
-                agg.max_ns = agg.max_ns.max(ns);
-                // An extended (flight-recorder) end names its start.
-                if let Ok(id) = v.field("id").and_then(u64::from_value) {
-                    open_starts.remove(&id);
-                }
-            }
-            "counter" => {
-                let name = v.field("name").and_then(Value::as_str).map_err(jerr)?;
-                let value = u64::from_value(v.field("value").map_err(jerr)?).map_err(jerr)?;
-                counters.insert(name.to_string(), value.to_string());
-            }
-            "fcounter" => {
-                let name = v.field("name").and_then(Value::as_str).map_err(jerr)?;
-                let value = f64::from_value(v.field("value").map_err(jerr)?).map_err(jerr)?;
-                counters.insert(name.to_string(), format!("{value:.4}"));
-            }
-            "hist" => {
-                let name = v.field("name").and_then(Value::as_str).map_err(jerr)?;
-                let mut row = [0u64; 5];
-                for (slot, field) in row.iter_mut().zip(["count", "p50", "p90", "p99", "max"]) {
-                    *slot = u64::from_value(v.field(field).map_err(jerr)?).map_err(jerr)?;
-                }
-                hists.insert(name.to_string(), row);
-            }
-            "span_start" => match v.field("id").and_then(u64::from_value) {
-                Ok(id) => {
-                    open_starts.insert(id);
-                }
-                Err(_) => orphan_starts += 1,
-            },
-            "mem" => mem_samples += 1,
-            // Any record type this report doesn't understand — domain
-            // events and whatever future recorders emit — is tallied by
-            // type instead of silently dropped or misparsed.
-            other => *events.entry(other.to_string()).or_insert(0) += 1,
-        }
-    }
-
-    let mut out = format!("telemetry report for {path} ({lines} lines)\n");
-    if !spans.is_empty() {
-        let mut table = Table::new(vec![
-            "span".into(),
-            "count".into(),
-            "total_ms".into(),
-            "mean_us".into(),
-            "max_us".into(),
-        ]);
-        for (name, agg) in &spans {
-            table.row(vec![
-                name.clone(),
-                agg.count.to_string(),
-                format!("{:.3}", agg.total_ns as f64 / 1e6),
-                format!("{:.1}", agg.total_ns as f64 / agg.count.max(1) as f64 / 1e3),
-                format!("{:.1}", agg.max_ns as f64 / 1e3),
-            ]);
-        }
-        out.push_str("\nspans\n");
-        out.push_str(&table.to_string());
-    }
-    if !counters.is_empty() {
-        let mut table = Table::new(vec!["counter".into(), "value".into()]);
-        for (name, value) in &counters {
-            table.row(vec![name.clone(), value.clone()]);
-        }
-        out.push_str("\ncounters\n");
-        out.push_str(&table.to_string());
-    }
-    if !hists.is_empty() {
-        let mut table = Table::new(vec![
-            "histogram".into(),
-            "count".into(),
-            "p50".into(),
-            "p90".into(),
-            "p99".into(),
-            "max".into(),
-        ]);
-        for (name, row) in &hists {
-            let mut cells = vec![name.clone()];
-            cells.extend(row.iter().map(u64::to_string));
-            table.row(cells);
-        }
-        out.push_str("\nhistograms\n");
-        out.push_str(&table.to_string());
-    }
-    if !events.is_empty() {
-        let mut table = Table::new(vec!["event".into(), "count".into()]);
-        for (name, count) in &events {
-            table.row(vec![name.clone(), count.to_string()]);
-        }
-        out.push_str("\nevents\n");
-        out.push_str(&table.to_string());
-    }
-    let span_starts = open_starts.len() as u64 + orphan_starts;
-    if span_starts + mem_samples > 0 {
-        out.push_str(&format!(
-            "\nflight recorder: skipped {span_starts} span-start and {mem_samples} memory \
-             records; run `trace-report --in {path}` for the causal tree and timeline\n"
-        ));
-    }
-    Ok(out)
-}
-
 /// The help text.
 pub const HELP: &str = "cloudalloc — SLA-driven profit-maximizing cloud resource allocation
 
@@ -672,11 +510,11 @@ COMMANDS
             [--init N] [--telemetry-out FILE]
   client    (--addr HOST:PORT | --addr-file FILE) --script FILE
             [--out FILE]
-  telemetry-report  --in FILE
   trace-report  --in FILE [--perfetto FILE] [--top K]
   help
 
-The solver parallelizes best-of-N construction; worker count comes from
+The solver parallelizes best-of-N construction and the per-cluster
+searches and operators inside each pass; worker count comes from
 --threads, else the CLOUDALLOC_THREADS environment variable, else all
 cores. Results are identical for every thread count.
 
@@ -699,12 +537,13 @@ and escalating to a full re-solve when repaired profit drops below
 --degradation-threshold × the pre-fault profit.
 
 Builds with the `telemetry` feature stream solver spans, counters and
-events to --telemetry-out as JSONL; `telemetry-report` summarizes such a
-file. Spans carry process-unique ids and parent links (causal trees
-across parallel fan-outs) and a background sampler adds a memory
-timeline; `trace-report` rebuilds the span forest from the same JSONL,
-prints self-time hotspots plus per-dispatch critical-path/imbalance
-numbers, and exports a Perfetto/Chrome-trace timeline with --perfetto.
+events to --telemetry-out as JSONL. Spans carry process-unique ids and
+parent links (causal trees across parallel fan-outs) and a background
+sampler adds a memory timeline. `trace-report` reads such a file: it
+rebuilds the span forest, prints self-time hotspots, per-dispatch
+critical-path/imbalance numbers, the memory timeline, final counter
+values, histogram rows and a tally of every other record type, and
+exports a Perfetto/Chrome-trace timeline with --perfetto.
 Telemetry never changes results: allocations are bit-identical with the
 feature on, off, or recording suppressed.
 ";
@@ -725,7 +564,6 @@ pub fn run(parsed: &Parsed) -> Result<String, CliError> {
         "baseline" => cmd_baseline(parsed),
         "epochs" => cmd_epochs(parsed),
         "gen-faults" => cmd_gen_faults(parsed),
-        "telemetry-report" => cmd_telemetry_report(parsed),
         "serve" => crate::serve::cmd_serve(parsed),
         "client" => crate::serve::cmd_client(parsed),
         "trace-report" => crate::trace::cmd_trace_report(parsed),
@@ -749,6 +587,7 @@ impl McWorst for cloudalloc_baselines::McOutcome {
 mod tests {
     use super::*;
     use crate::args::Parsed;
+    use serde::Value;
 
     fn parse(words: &[&str]) -> Parsed {
         Parsed::parse(words.iter().map(|s| s.to_string())).unwrap()
@@ -1165,7 +1004,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_report_summarizes_a_jsonl_file() {
+    fn trace_report_summarizes_a_jsonl_file() {
         let path = temp_path("telemetry_sample.jsonl");
         fs::write(
             &path,
@@ -1179,28 +1018,37 @@ mod tests {
                 "{\"t\":\"hist\",\"ts\":60,\"name\":\"incr.rollback_depth\",\"count\":4,\
                  \"sum\":10,\"p50\":2,\"p90\":3,\"p99\":3,\"max\":4}\n",
                 "{\"t\":\"solve\",\"ts\":70,\"seed\":0,\"profit\":12.5}\n",
+                "{\"t\":\"counter\",\"ts\":80,\"name\":\"op.swap.tried\",\"value\":15}\n",
             ),
         )
         .unwrap();
-        let out = run(&parse(&["telemetry-report", "--in", &path])).unwrap();
-        assert!(out.contains("8 lines"), "line count missing:\n{out}");
-        assert!(out.contains("solve.round"));
-        assert!(out.contains("op.swap.tried"));
-        assert!(out.contains("op.swap.gain"));
-        assert!(out.contains("incr.rollback_depth"));
-        // Two span records of 1500 + 2500 ns → mean 2.0 µs.
-        assert!(out.contains("2.0"), "span mean missing:\n{out}");
-        // meta / progress / solve all land in the event tally.
-        for ev in ["meta", "progress", "solve"] {
-            assert!(out.contains(ev), "event {ev} missing:\n{out}");
+        let out = run(&parse(&["trace-report", "--in", &path])).unwrap();
+        // The cells of the table row whose first cell is `name`.
+        let row = |name: &str| -> Vec<String> {
+            out.lines()
+                .map(|l| l.split_whitespace().map(str::to_string).collect::<Vec<_>>())
+                .find(|cells| cells.first().is_some_and(|c| c == name))
+                .unwrap_or_else(|| panic!("no {name} row:\n{out}"))
+        };
+        assert!(out.contains("(9 records)"), "record count missing:\n{out}");
+        assert!(out.contains("2 spans in 2 trees"), "forest stats missing:\n{out}");
+        // Two legacy span records of 1500 + 2500 ns → one hotspot row.
+        assert_eq!(row("solve.round")[1..3], ["2", "0.004"], "span row:\n{out}");
+        // A counter keeps its last flushed value.
+        assert_eq!(row("op.swap.tried")[1], "15", "counter:\n{out}");
+        assert_eq!(row("op.swap.gain")[1], "1.5000", "fcounter:\n{out}");
+        assert_eq!(row("incr.rollback_depth")[1..], ["4", "2", "3", "3", "4"], "hist:\n{out}");
+        // meta / progress / solve all land in the record tally.
+        for ty in ["meta", "progress", "solve"] {
+            assert_eq!(row(ty)[1], "1", "record type {ty}:\n{out}");
         }
     }
 
     #[test]
-    fn telemetry_report_skips_and_counts_unfamiliar_record_types() {
-        // Flight-recorder records and record types from future recorder
-        // versions must be counted, never conflated into the span table
-        // or rejected as errors.
+    fn trace_report_tallies_unfamiliar_record_types() {
+        // Record types from future recorder versions are counted, never
+        // conflated into the span forest or rejected as errors; a
+        // start/end pair sharing an id is one span.
         let path = temp_path("telemetry_future.jsonl");
         fs::write(
             &path,
@@ -1216,47 +1064,13 @@ mod tests {
             ),
         )
         .unwrap();
-        let out = run(&parse(&["telemetry-report", "--in", &path])).unwrap();
-        assert!(out.contains("5 lines"), "line count missing:\n{out}");
-        // The span end aggregates in the span table; its paired start
-        // (same id) is the *same* span and must not be double-counted
-        // into the skipped tally — only the mem record is skipped.
-        assert!(out.contains("solve.total"), "span table missing:\n{out}");
+        let out = run(&parse(&["trace-report", "--in", &path])).unwrap();
+        assert!(out.contains("(5 records)"), "record count missing:\n{out}");
+        assert!(out.contains("1 spans in 1 trees"), "span pair miscounted:\n{out}");
+        assert!(out.contains("memory timeline: 1 samples"), "memory sample lost:\n{out}");
         assert!(
-            out.contains("skipped 0 span-start and 1 memory records"),
-            "flight-recorder tally wrong:\n{out}"
-        );
-        assert!(out.contains("trace-report"), "no pointer to trace-report:\n{out}");
-        // The future type lands in the tally with its count.
-        assert!(out.contains("quux"), "future record type dropped:\n{out}");
-        assert!(out.lines().any(|l| l.contains("quux") && l.contains('2')), "count lost:\n{out}");
-    }
-
-    #[test]
-    fn telemetry_report_counts_span_pairs_once() {
-        // Regression: a `span_start`/`span` pair sharing an id used to
-        // contribute both a span-table row *and* a "skipped span-start"
-        // tally. Paired starts are consumed by their end record; only
-        // genuinely unclosed starts count as skipped.
-        let path = temp_path("telemetry_pairs.jsonl");
-        fs::write(
-            &path,
-            concat!(
-                "{\"t\":\"span_start\",\"ts\":5,\"id\":1,\"parent\":0,\
-                 \"name\":\"solve.total\",\"tid\":1}\n",
-                "{\"t\":\"span_start\",\"ts\":6,\"id\":2,\"parent\":1,\
-                 \"name\":\"solve.round\",\"tid\":1}\n",
-                "{\"t\":\"span\",\"ts\":10,\"name\":\"solve.round\",\"depth\":1,\"ns\":4,\
-                 \"id\":2,\"parent\":1,\"tid\":1}\n",
-            ),
-        )
-        .unwrap();
-        let out = run(&parse(&["telemetry-report", "--in", &path])).unwrap();
-        // id=2 paired (counted once, in the span table); id=1 unclosed.
-        assert!(out.contains("solve.round"), "span table missing:\n{out}");
-        assert!(
-            out.contains("skipped 1 span-start and 0 memory records"),
-            "unclosed-start tally wrong:\n{out}"
+            out.lines().any(|l| l.split_whitespace().eq(["quux", "2"])),
+            "future record type dropped:\n{out}"
         );
     }
 
@@ -1300,11 +1114,12 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_report_rejects_malformed_lines() {
+    fn trace_report_rejects_malformed_lines() {
         let path = temp_path("telemetry_bad.jsonl");
         fs::write(&path, "{\"t\":\"meta\",\"ts\":0,\"version\":1}\nnot json\n").unwrap();
-        let err = run(&parse(&["telemetry-report", "--in", &path])).unwrap_err();
-        assert!(err.to_string().contains(":2:"), "no line number in: {err}");
+        let err = run(&parse(&["trace-report", "--in", &path])).unwrap_err();
+        assert!(matches!(err, CliError::Json(_)), "got {err:?}");
+        assert!(err.to_string().contains("line 2:"), "no line number in: {err}");
     }
 
     #[test]
@@ -1339,9 +1154,11 @@ mod tests {
             let text = fs::read_to_string(&jsonl_path).unwrap();
             assert!(text.starts_with("{\"t\":\"meta\""), "no meta header:\n{text}");
             assert!(text.contains("\"t\":\"span\""), "no spans captured");
-            // The summary command digests what the solve just wrote.
-            let report = run(&parse(&["telemetry-report", "--in", &jsonl_path])).unwrap();
+            // The report command digests what the solve just wrote.
+            let report = run(&parse(&["trace-report", "--in", &jsonl_path])).unwrap();
             assert!(report.contains("solve.total"), "report misses spans:\n{report}");
+            assert!(report.contains("\ncounters\n"), "report misses counters:\n{report}");
+            assert!(report.contains("meta"), "report misses the header record:\n{report}");
         } else {
             assert!(out.contains("disabled at build time"), "missing note:\n{out}");
             assert!(!std::path::Path::new(&jsonl_path).exists(), "no-op build wrote a file");
@@ -1397,7 +1214,6 @@ mod tests {
             "baseline",
             "epochs",
             "gen-faults",
-            "telemetry-report",
             "trace-report",
         ] {
             assert!(out.contains(cmd), "help misses {cmd}");

@@ -14,6 +14,10 @@
 //! worker, so per-worker `par.lane` spans nest under the `par.dispatch`
 //! span that spawned them. `{"t":"mem",…}` records from the background
 //! sampler carry the VmRSS/VmHWM and streamed-compile staging timeline.
+//! Metric flushes write `counter`/`fcounter` records (cumulative value,
+//! so the last one per name wins) and `hist` rows; everything else —
+//! the `meta` header, domain events, record types a newer recorder adds —
+//! is tallied per type. Every record carries its `t` and `ts`.
 //!
 //! Reconstruction is tolerant by design: end-only records from
 //! pre-flight-recorder files become parentless legacy nodes, spans whose
@@ -30,7 +34,8 @@
 //! `(|L|·max − Σ) / (|L|·max)` — the fraction of worker-seconds spent
 //! waiting on the longest lane. Efficiency is the complement.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::fs;
 
 use cloudalloc_metrics::Table;
@@ -74,7 +79,30 @@ pub struct MemSample {
     pub staging_peak_bytes: u64,
 }
 
-/// The reconstructed span forest plus the memory timeline.
+/// The last flushed value of one counter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CounterValue {
+    /// An integer `"counter"` record.
+    Int(u64),
+    /// A `"fcounter"` record.
+    Float(f64),
+}
+
+impl fmt::Display for CounterValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CounterValue::Int(v) => write!(f, "{v}"),
+            CounterValue::Float(v) => write!(f, "{v:.4}"),
+        }
+    }
+}
+
+/// The fields of a `"hist"` record that [`TraceForest::hists`] keeps, in
+/// order.
+pub const HIST_FIELDS: [&str; 5] = ["count", "p50", "p90", "p99", "max"];
+
+/// The reconstructed span forest, the memory timeline and the metric
+/// flushes of one telemetry file.
 #[derive(Debug, Default)]
 pub struct TraceForest {
     /// Every reconstructed span, in record order.
@@ -94,6 +122,16 @@ pub struct TraceForest {
     pub mem: Vec<MemSample>,
     /// Largest timestamp observed anywhere in the file, ns.
     pub max_ts_ns: u64,
+    /// Non-empty lines read.
+    pub records: usize,
+    /// Last flushed value per counter name.
+    pub counters: BTreeMap<String, CounterValue>,
+    /// Last flushed row per histogram name, one value per
+    /// [`HIST_FIELDS`] entry.
+    pub hists: BTreeMap<String, [u64; 5]>,
+    /// Count per record type of every record that is neither a span, a
+    /// memory sample nor a metric.
+    pub other_records: BTreeMap<String, u64>,
 }
 
 fn req_u64(v: &Value, name: &str) -> Result<u64, SerdeError> {
@@ -108,13 +146,16 @@ fn opt_u64(v: &Value, name: &str) -> Result<Option<u64>, SerdeError> {
 }
 
 impl TraceForest {
-    /// Parses a telemetry JSONL stream and rebuilds the span forest.
+    /// Parses a telemetry JSONL stream: rebuilds the span forest and
+    /// keeps the memory timeline and metric flushes.
     ///
     /// # Errors
     ///
-    /// Fails (with a line number) on lines that are not JSON objects or
-    /// on span records missing their required fields. Unknown record
-    /// types are skipped — the recorder is free to grow new ones.
+    /// Fails (with a line number) on lines that are not JSON objects, on
+    /// records without `t` and `ts`, and on span, memory or metric records
+    /// missing their required fields. Unknown record types are tallied in
+    /// [`TraceForest::other_records`] — the recorder is free to grow new
+    /// ones.
     pub fn from_jsonl(text: &str) -> Result<TraceForest, SerdeError> {
         let mut forest = TraceForest::default();
         // id → index into nodes, for joining starts with ends.
@@ -127,6 +168,7 @@ impl TraceForest {
             if line.is_empty() {
                 continue;
             }
+            forest.records += 1;
             let v: Value = serde_json::from_str(line)
                 .map_err(|e| SerdeError::custom(format!("line {}: {e}", idx + 1)))?;
             let located = |e: SerdeError| SerdeError::custom(format!("line {}: {e}", idx + 1));
@@ -203,9 +245,27 @@ impl TraceForest {
                             .unwrap_or(0),
                     });
                 }
-                // Anything else (meta, counters, events…) is not part of
-                // the span forest.
-                _ => {}
+                "counter" | "fcounter" => {
+                    let name =
+                        v.field("name").and_then(Value::as_str).map_err(located)?.to_string();
+                    let value = v.field("value").map_err(located)?;
+                    let value = if ty == "counter" {
+                        CounterValue::Int(u64::from_value(value).map_err(located)?)
+                    } else {
+                        CounterValue::Float(f64::from_value(value).map_err(located)?)
+                    };
+                    forest.counters.insert(name, value);
+                }
+                "hist" => {
+                    let name =
+                        v.field("name").and_then(Value::as_str).map_err(located)?.to_string();
+                    let mut row = [0u64; 5];
+                    for (slot, field) in row.iter_mut().zip(HIST_FIELDS) {
+                        *slot = req_u64(&v, field).map_err(located)?;
+                    }
+                    forest.hists.insert(name, row);
+                }
+                other => *forest.other_records.entry(other.to_string()).or_insert(0) += 1,
             }
         }
 
@@ -327,8 +387,8 @@ impl TraceForest {
     }
 
     /// Renders the ASCII report: forest stats, top-`top_k` self-time
-    /// hotspots, the per-site critical-path table and the memory
-    /// timeline summary.
+    /// hotspots, the per-site critical-path table, the memory timeline
+    /// summary, and the counter, histogram and other-record tables.
     pub fn ascii_summary(&self, top_k: usize) -> String {
         let mut out = String::new();
         let lanes: std::collections::BTreeSet<u64> = self.nodes.iter().map(|n| n.tid).collect();
@@ -423,6 +483,35 @@ impl TraceForest {
                 mib(hwm_max),
                 mib(staging_peak)
             ));
+        }
+
+        if !self.counters.is_empty() {
+            let mut table = Table::new(vec!["counter".into(), "value".into()]);
+            for (name, value) in &self.counters {
+                table.row(vec![name.clone(), value.to_string()]);
+            }
+            out.push_str("\ncounters\n");
+            out.push_str(&table.to_string());
+        }
+        if !self.hists.is_empty() {
+            let mut header = vec!["histogram".to_string()];
+            header.extend(HIST_FIELDS.map(String::from));
+            let mut table = Table::new(header);
+            for (name, row) in &self.hists {
+                let mut cells = vec![name.clone()];
+                cells.extend(row.iter().map(u64::to_string));
+                table.row(cells);
+            }
+            out.push_str("\nhistograms\n");
+            out.push_str(&table.to_string());
+        }
+        if !self.other_records.is_empty() {
+            let mut table = Table::new(vec!["record".into(), "count".into()]);
+            for (ty, count) in &self.other_records {
+                table.row(vec![ty.clone(), count.to_string()]);
+            }
+            out.push_str("\nother records\n");
+            out.push_str(&table.to_string());
         }
         out
     }
@@ -520,7 +609,7 @@ pub(crate) fn cmd_trace_report(parsed: &Parsed) -> Result<String, CliError> {
     let text = fs::read_to_string(path)?;
     let forest = TraceForest::from_jsonl(&text)
         .map_err(|e| jerr(SerdeError::custom(format!("{path}: {e}"))))?;
-    let mut out = format!("trace report for {path}\n");
+    let mut out = format!("trace report for {path} ({} records)\n", forest.records);
     out.push_str(&forest.ascii_summary(top_k));
     if let Some(out_path) = parsed.get("--perfetto") {
         fs::write(out_path, forest.perfetto_json())?;

@@ -7,12 +7,13 @@
 //! records nothing, so the test degrades to a skip, keeping the default
 //! tier-1 suite byte-identical to a world without the recorder.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use cloudalloc_cli::{run, trace::TraceForest, Parsed};
 
 /// The telemetry sink is process-global; tests that arm it must not
-/// overlap.
+/// overlap. A test that panics while holding the lock poisons it; the
+/// other test takes it anyway so that one failure reports as one.
 static SINK: Mutex<()> = Mutex::new(());
 
 fn parse(words: &[&str]) -> Parsed {
@@ -35,7 +36,7 @@ fn parallel_lanes_nest_under_their_dispatch_across_threads() {
     if !cloudalloc_telemetry::ENABLED {
         return; // noop build: nothing is recorded
     }
-    let _lock = SINK.lock().unwrap();
+    let _lock = SINK.lock().unwrap_or_else(PoisonError::into_inner);
     let jsonl = temp_path("dispatch.jsonl");
     let _ = std::fs::remove_file(&jsonl);
     cloudalloc_telemetry::init_jsonl(&jsonl).unwrap();
@@ -73,7 +74,7 @@ fn solve_trace_shape_is_thread_count_invariant() {
     if !cloudalloc_telemetry::ENABLED {
         return; // noop build: nothing is recorded
     }
-    let _lock = SINK.lock().unwrap();
+    let _lock = SINK.lock().unwrap_or_else(PoisonError::into_inner);
     let sys_path = temp_path("sys.json");
     run(&parse(&[
         "generate",

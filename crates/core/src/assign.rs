@@ -10,8 +10,8 @@
 //!    against a shadow price `ψ` per unit of share, then clamped between
 //!    the stability floor and the free capacity.
 //! 2. A dynamic program over the servers combines the per-server value
-//!    curves into the best split summing to `Σα = 1` (the paper's DP; run
-//!    per cluster here, per server class in the distributed layer).
+//!    curves into the best split summing to `Σα = 1` (the paper's DP, run
+//!    once per cluster).
 //!
 //! The returned [`Candidate`] carries an *exact* score — true utility of
 //! the resulting response time minus true cost deltas — so comparing
@@ -601,6 +601,10 @@ pub fn assign_distribute_reference(
 /// Runs [`assign_distribute`] against every cluster and returns the best
 /// candidate (the greedy step `k_opt = argmax_k` of the pseudo-code), or
 /// `None` when no cluster can host the client.
+///
+/// This is the paper's manager/agent split (§V): each per-cluster search
+/// is one cluster agent's answer, and the fixed-order reduction is the
+/// central manager's argmax.
 pub fn best_cluster(
     ctx: &SolverCtx<'_>,
     alloc: &Allocation,
@@ -625,8 +629,7 @@ pub fn best_cluster(
         .flatten()
         .fold(None, reduce);
     }
-    // Ties break toward the lowest cluster id so the sequential and
-    // distributed solvers make identical choices.
+    // Ties break toward the lowest cluster id, as in the fan-out above.
     (0..clusters)
         .filter_map(|k| assign_distribute(ctx, alloc, client, ClusterId(k)))
         .fold(None, reduce)

@@ -48,11 +48,14 @@ pub struct SolverConfig {
     /// profit contribution; the reassignment operator keeps re-testing
     /// them each round and admits them as soon as they turn profitable.
     pub require_service: bool,
-    /// Worker threads for the parallel best-of-N construction and
-    /// multi-seed restarts. `None` (default) consults the
-    /// `CLOUDALLOC_THREADS` environment variable, then falls back to all
-    /// available cores. Results are identical for every thread count —
-    /// each greedy pass owns an independent seeded RNG stream.
+    /// Worker threads for every fan-out of the solve: the best-of-N
+    /// construction, multi-seed restarts, the per-cluster candidate
+    /// search, the cluster-local operator phases and the reassignment
+    /// proposals. `None` (default) consults the `CLOUDALLOC_THREADS`
+    /// environment variable, then falls back to all available cores.
+    /// Results are identical for every thread count — each greedy pass
+    /// owns an independent seeded RNG stream, and every fan-out reduces
+    /// in fixed job order.
     pub num_threads: Option<usize>,
 }
 

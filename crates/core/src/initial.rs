@@ -132,6 +132,23 @@ mod tests {
         let (a4, p4) = best_initial(&SolverCtx::new(&system, &threaded), 11);
         assert_eq!(a1, a4);
         assert_eq!(p1, p4);
+
+        // A single pass runs inline rather than inside a worker, so
+        // `best_cluster` itself fans its per-cluster searches out: the
+        // argmax over the cluster agents' answers must match the serial
+        // loop bit for bit.
+        let single = |threads| SolverConfig {
+            num_threads: Some(threads),
+            num_init_solns: 1,
+            ..Default::default()
+        };
+        for seed in [1_u64, 2, 3] {
+            let system = generate(&ScenarioConfig::paper(40), seed);
+            let (a1, p1) = best_initial(&SolverCtx::new(&system, &single(1)), seed);
+            let (a4, p4) = best_initial(&SolverCtx::new(&system, &single(4)), seed);
+            assert_eq!(a1, a4, "seed {seed}: allocation diverged");
+            assert_eq!(p1.to_bits(), p4.to_bits(), "seed {seed}: profit bits diverged");
+        }
     }
 
     #[test]

@@ -13,10 +13,7 @@ mod turnon;
 
 pub use disperse::adjust_dispersion_rates;
 pub use reassign::reassign_clients;
-pub use repair::{
-    drop_victims, repair_failed_servers, repair_failed_servers_within, shed_unprofitable,
-    RepairStats,
-};
+pub use repair::{drop_victims, repair_failed_servers, shed_unprofitable, RepairStats};
 pub use shares::{adjust_resource_shares, rebalance_server_shares};
 pub use swap::swap_clients;
 pub use turnoff::turn_off_servers;

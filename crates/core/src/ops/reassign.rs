@@ -13,8 +13,9 @@
 //!    back, so a proposal is a pure function of the snapshot and the
 //!    client — which is exactly what lets blocks of clients fan out over
 //!    [`crate::par`] on private forks, [`run_phase`]-style. The serial
-//!    path runs the same trials on the live evaluator (zero forks) and
-//!    produces the identical proposal list.
+//!    path runs the same trials in the same blocks on the live evaluator
+//!    (zero forks), so it produces the identical proposal list under the
+//!    identical `op.reassign.block` spans.
 //! 2. **Commit** — serially, in `order`: the client is removed, the
 //!    proposal is checked against the *current* loads (a proposal is
 //!    stale once an earlier accepted move consumed the free capacity it
@@ -102,7 +103,12 @@ pub fn reassign_clients(
         });
         block_proposals.into_iter().flatten().collect()
     } else {
-        order.iter().map(|&client| propose(ctx, scored, client)).collect()
+        let mut proposals = Vec::with_capacity(order.len());
+        for block in order.chunks(PROPOSAL_BLOCK) {
+            let _span = telemetry::span!("op.reassign.block");
+            proposals.extend(block.iter().map(|&client| propose(ctx, scored, client)));
+        }
+        proposals
     };
 
     let mut changed = false;

@@ -16,12 +16,10 @@
 //! journaled [`ScoredAllocation`], the same machinery as the local-search
 //! operators, so repair composes with everything else bit-for-bit.
 
-use cloudalloc_model::{
-    Allocation, ClientId, CloudSystem, ClusterId, Placement, ScoredAllocation, ServerId,
-};
+use cloudalloc_model::{Allocation, ClientId, CloudSystem, Placement, ScoredAllocation, ServerId};
 use cloudalloc_telemetry as telemetry;
 
-use crate::assign::{assign_distribute, best_cluster, commit_scored, Candidate};
+use crate::assign::{best_cluster, commit_scored, Candidate};
 use crate::ctx::SolverCtx;
 use crate::dispersion::{optimal_dispersion_into, DispersionBranch};
 
@@ -38,18 +36,6 @@ pub struct RepairStats {
     pub replaced: usize,
     /// Victims shed entirely (no profitable rescue existed).
     pub shed: usize,
-}
-
-impl RepairStats {
-    /// Accumulates another pass into this one (used by the distributed
-    /// shard merge).
-    pub fn absorb(&mut self, other: RepairStats) {
-        self.victims += other.victims;
-        self.evicted += other.evicted;
-        self.redispersed += other.redispersed;
-        self.replaced += other.replaced;
-        self.shed += other.shed;
-    }
 }
 
 /// How one victim was rescued.
@@ -72,28 +58,6 @@ pub fn repair_failed_servers(
     scored: &mut ScoredAllocation<'_>,
     failed: &[ServerId],
 ) -> RepairStats {
-    repair_impl(ctx, scored, failed, None)
-}
-
-/// [`repair_failed_servers`] restricted to one cluster: only victims
-/// assigned to `cluster` are touched and re-placement searches that
-/// cluster alone. This is the shard-local form used under the distributed
-/// solve, where each cluster agent may only move its own clients.
-pub fn repair_failed_servers_within(
-    ctx: &SolverCtx<'_>,
-    scored: &mut ScoredAllocation<'_>,
-    failed: &[ServerId],
-    cluster: ClusterId,
-) -> RepairStats {
-    repair_impl(ctx, scored, failed, Some(cluster))
-}
-
-fn repair_impl(
-    ctx: &SolverCtx<'_>,
-    scored: &mut ScoredAllocation<'_>,
-    failed: &[ServerId],
-    within: Option<ClusterId>,
-) -> RepairStats {
     let _span = telemetry::span!("op.repair");
     let mut stats = RepairStats::default();
     if failed.is_empty() {
@@ -102,11 +66,6 @@ fn repair_impl(
     let dead = dead_mask(ctx.system, failed);
     for i in 0..ctx.system.num_clients() {
         let client = ClientId(i);
-        if let Some(k) = within {
-            if scored.alloc().cluster_of(client) != Some(k) {
-                continue;
-            }
-        }
         let holds_dead =
             scored.alloc().placements(client).iter().any(|&(server, _)| dead[server.index()]);
         if !holds_dead {
@@ -115,7 +74,7 @@ fn repair_impl(
         stats.victims += 1;
         telemetry::counter!("op.repair.victims").incr();
         stats.evicted += evict(scored, client, &dead);
-        match rescue(ctx, scored, client, within) {
+        match rescue(ctx, scored, client) {
             Rescue::Redisperse => {
                 stats.redispersed += 1;
                 telemetry::counter!("op.repair.redispersed").incr();
@@ -191,12 +150,7 @@ fn evict(scored: &mut ScoredAllocation<'_>, client: ClientId, dead: &[bool]) -> 
 /// scoring all three actions tentatively from the same savepoint. Ties
 /// prefer the least disruptive action (re-disperse, then re-place, then
 /// shed).
-fn rescue(
-    ctx: &SolverCtx<'_>,
-    scored: &mut ScoredAllocation<'_>,
-    client: ClientId,
-    within: Option<ClusterId>,
-) -> Rescue {
+fn rescue(ctx: &SolverCtx<'_>, scored: &mut ScoredAllocation<'_>, client: ClientId) -> Rescue {
     let mark = scored.savepoint();
 
     let profit_redisperse = match try_redisperse(ctx, scored, client) {
@@ -207,7 +161,7 @@ fn rescue(
         None => f64::NEG_INFINITY,
     };
 
-    let replacement = try_replacement(ctx, scored, client, within);
+    let replacement = try_replacement(ctx, scored, client);
     let profit_replace = match &replacement {
         Some(cand) => {
             scored.clear_client(client);
@@ -300,23 +254,18 @@ fn try_redisperse(
     Some(scored.profit())
 }
 
-/// Searches for a full re-placement of the victim: every cluster under
-/// the global repair, the shard's own cluster under the distributed
-/// repair. Honors the admission economics of the greedy pass — a
-/// non-positive score is only accepted under `require_service`.
+/// Searches every cluster for a full re-placement of the victim. Honors
+/// the admission economics of the greedy pass — a non-positive score is
+/// only accepted under `require_service`.
 fn try_replacement(
     ctx: &SolverCtx<'_>,
     scored: &mut ScoredAllocation<'_>,
     client: ClientId,
-    within: Option<ClusterId>,
 ) -> Option<Candidate> {
     let mark = scored.savepoint();
     // Candidate search scores an unassigned client; clear tentatively.
     scored.clear_client(client);
-    let cand = match within {
-        None => best_cluster(ctx, scored.alloc(), client),
-        Some(k) => assign_distribute(ctx, scored.alloc(), client, k),
-    };
+    let cand = best_cluster(ctx, scored.alloc(), client);
     scored.rollback_to(mark);
     cand.filter(|c| c.score > 0.0 || ctx.config.require_service)
 }
@@ -443,36 +392,6 @@ mod tests {
         let stats = repair_failed_servers(&ctx, &mut scored, &[]);
         assert_eq!(stats, RepairStats::default());
         assert_eq!(scored.alloc(), &before);
-    }
-
-    #[test]
-    fn cluster_restricted_repair_only_touches_that_cluster() {
-        let system = generate(&ScenarioConfig::small(12), 7);
-        let config = SolverConfig::default();
-        let ctx = SolverCtx::new(&system, &config);
-        let alloc = greedy_scored(&ctx, &system).into_allocation();
-        let failed = pick_failed(&alloc, system.num_servers(), 2);
-        let masked = system.with_failed_servers(&failed);
-        let masked_ctx = SolverCtx::new(&masked, &config);
-
-        let k = masked.server(failed[0]).cluster;
-        let mut scored =
-            ScoredAllocation::lowered(&masked_ctx.compiled, alloc.replayed_onto(&masked));
-        repair_failed_servers_within(&masked_ctx, &mut scored, &failed, k);
-        let repaired = scored.into_allocation();
-        for i in 0..masked.num_clients() {
-            let client = ClientId(i);
-            // Clients of other clusters keep their assignment untouched.
-            if alloc.cluster_of(client) != Some(k) {
-                assert_eq!(repaired.cluster_of(client), alloc.cluster_of(client));
-                assert_eq!(repaired.placements(client), alloc.placements(client));
-            } else {
-                // Shard moves stay inside the shard.
-                for &(s, _) in repaired.placements(client) {
-                    assert_eq!(masked.server(s).cluster, k);
-                }
-            }
-        }
     }
 
     #[test]

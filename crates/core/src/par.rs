@@ -1,7 +1,6 @@
 //! Deterministic fan-out primitive shared by every parallel stage of the
 //! solver (greedy passes, multi-seed restarts, per-cluster candidate
-//! search, the intra-round operator fan-out, and the distributed
-//! Monte-Carlo shards).
+//! search and the intra-round operator fan-out).
 //!
 //! [`run_parallel`] is a *steal-free* chunked map: the job→worker
 //! assignment is a pure function of `(jobs, threads)` — worker `w` owns

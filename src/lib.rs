@@ -10,7 +10,6 @@
 //! * [`core`] — the paper's `Resource_Alloc` heuristic.
 //! * [`baselines`] — modified Proportional-Share, Monte-Carlo best-found.
 //! * [`simulator`] — discrete-event validation of the analytic model.
-//! * [`distributed`] — central manager + per-cluster agents.
 //! * [`metrics`] — statistics and figure/table rendering.
 //! * [`epoch`] — decision-epoch management: prediction, drift, warm starts.
 //! * [`multitier`] — multi-tier applications compiled onto the model.
@@ -25,7 +24,6 @@
 
 pub use cloudalloc_baselines as baselines;
 pub use cloudalloc_core as core;
-pub use cloudalloc_distributed as distributed;
 pub use cloudalloc_epoch as epoch;
 pub use cloudalloc_metrics as metrics;
 pub use cloudalloc_model as model;

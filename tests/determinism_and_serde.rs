@@ -3,7 +3,6 @@
 
 use cloudalloc::baselines::{monte_carlo, McConfig};
 use cloudalloc::core::{solve, SolverConfig};
-use cloudalloc::distributed::solve_distributed;
 use cloudalloc::model::{evaluate, Allocation, CloudSystem};
 use cloudalloc::simulator::{simulate, SimConfig};
 use cloudalloc::workload::{generate, ScenarioConfig};
@@ -25,12 +24,9 @@ fn the_entire_pipeline_is_deterministic() {
 }
 
 #[test]
-fn distributed_and_monte_carlo_are_deterministic() {
+fn monte_carlo_is_deterministic() {
     let system = generate(&ScenarioConfig::small(10), 55);
     let solver = SolverConfig::fast();
-    let (d1, _) = solve_distributed(&system, &solver, 5);
-    let (d2, _) = solve_distributed(&system, &solver, 5);
-    assert_eq!(d1, d2);
     let mc_config = McConfig { iterations: 8, solver, polish_best: true };
     let m1 = monte_carlo(&system, &mc_config, 5);
     let m2 = monte_carlo(&system, &mc_config, 5);
