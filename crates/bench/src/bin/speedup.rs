@@ -63,13 +63,16 @@
 //! ```
 //!
 //! The per-seed records of every section are always written as JSON
-//! (default `BENCH_speedup.json`, override with `--json`). `--smoke` runs
-//! the E5d/E5e/E5g/E5h equivalence assertions on tiny configurations
-//! plus the E5i scale rows up to 100k clients — the CI gate: the process
-//! exits non-zero when any pair of paths disagrees, a profit leaves the
-//! hierarchical band, or the peak RSS blows its budget. `--smoke --deep`
-//! extends E5i to the million-client row, solved in memory-budgeted
-//! waves so the deep tier runs routinely rather than full-mode-only.
+//! (default `BENCH_speedup.json`, the committed full-run baseline that
+//! `bench-diff` gates against; `BENCH_speedup_smoke.json` under
+//! `--smoke`, so a smoke run never replaces it; override with `--json`).
+//! `--smoke` runs the E5d/E5e/E5g/E5h equivalence assertions on tiny
+//! configurations plus the E5i scale rows up to 100k clients — the CI
+//! gate: the process exits non-zero when any pair of paths disagrees, a
+//! profit leaves the hierarchical band, or the peak RSS blows its budget.
+//! `--smoke --deep` extends E5i to the million-client row, solved in
+//! memory-budgeted waves so the deep tier runs routinely rather than
+//! full-mode-only.
 
 use std::time::Instant;
 
@@ -1208,7 +1211,8 @@ fn bench_telemetry_overhead(_base_seed: u64, _smoke: bool) -> Vec<TelemetryOverh
 fn main() {
     let args = cloudalloc_bench::HarnessArgs::from_env();
     args.init_telemetry();
-    let path = args.json.clone().unwrap_or_else(|| "BENCH_speedup.json".into());
+    let default_path = if args.smoke { "BENCH_speedup_smoke.json" } else { "BENCH_speedup.json" };
+    let path = args.json.clone().unwrap_or_else(|| default_path.into());
     if args.smoke {
         // CI smoke gate: the E5d equivalence assertions, the E5e
         // telemetry bit-identity assertion, the E5h intra-solve

@@ -26,8 +26,7 @@ pub struct Parsed {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] =
-    &["--require-service", "--shared", "--least-work", "--quiet", "--hierarchical"];
+const SWITCHES: &[&str] = &["--require-service", "--shared", "--least-work", "--hierarchical"];
 
 impl Parsed {
     /// Parses an iterator of argument words (without the binary name).
@@ -90,10 +89,17 @@ impl Parsed {
         self.switches.iter().any(|s| s == flag)
     }
 
-    /// Flags that were provided but never read — callers use this to
-    /// reject typos.
-    pub fn option_flags(&self) -> impl Iterator<Item = &str> {
-        self.options.keys().map(String::as_str)
+    /// Rejects the first flag or switch outside `accepted`, naming it
+    /// and the command, so a misspelt `--seeed 5` cannot run silently
+    /// with the default seed.
+    pub(crate) fn check_flags(&self, accepted: &[&str]) -> Result<(), ArgError> {
+        match self.options.keys().chain(&self.switches).find(|f| !accepted.contains(&f.as_str())) {
+            None => Ok(()),
+            Some(flag) => Err(ArgError(format!(
+                "{} does not take {flag}; try `cloudalloc help`",
+                self.command
+            ))),
+        }
     }
 }
 

@@ -497,17 +497,19 @@ COMMANDS
   explain   --system FILE --allocation FILE
   simulate  --system FILE --allocation FILE [--horizon H] [--seed S]
             [--shared] [--least-work] [--cv2 X] [--availability A]
-  baseline  --system FILE [--mc N] [--seed S]
+  baseline  --system FILE [--mc N] [--seed S] [--granularity G]
+            [--init N] [--threads T] [--require-service]
   epochs    --system FILE [--epochs N] [--volatility V] [--seed S]
             [--faults FILE] [--degradation-threshold X] [--retries N]
-            [--telemetry-out FILE]
+            [--granularity G] [--init N] [--threads T]
+            [--require-service] [--telemetry-out FILE]
   gen-faults --system FILE [--epochs N] [--mtbf E] [--mttr E] [--seed S]
             [--out FILE]
   serve     --system FILE [--addr HOST:PORT] [--addr-file FILE]
             [--slo-ms MS] [--epoch-every N] [--seed S] [--accept N]
             [--faults FILE] [--degradation-threshold X] [--retries N]
             [--logical-clock-us STEP] [--threads T] [--granularity G]
-            [--init N] [--telemetry-out FILE]
+            [--init N] [--require-service] [--telemetry-out FILE]
   client    (--addr HOST:PORT | --addr-file FILE) --script FILE
             [--out FILE]
   trace-report  --in FILE [--perfetto FILE] [--top K]
@@ -548,28 +550,127 @@ Telemetry never changes results: allocations are bit-identical with the
 feature on, off, or recording suppressed.
 ";
 
+/// One subcommand: its word, its implementation and every flag and
+/// switch it reads.
+type Command = (&'static str, fn(&Parsed) -> Result<String, CliError>, &'static [&'static str]);
+
+/// Every subcommand but `help`. [`run`] rejects a flag outside a
+/// command's list before dispatching, and [`HELP`] lists exactly these
+/// flags (pinned by a unit test).
+const COMMANDS: &[Command] = &[
+    ("generate", cmd_generate, &["--clients", "--preset", "--seed", "--out"]),
+    (
+        "solve",
+        cmd_solve,
+        &[
+            "--system",
+            "--seed",
+            "--granularity",
+            "--init",
+            "--threads",
+            "--require-service",
+            "--hierarchical",
+            "--group-size",
+            "--memory-budget",
+            "--out",
+            "--telemetry-out",
+        ],
+    ),
+    ("evaluate", cmd_evaluate, &["--system", "--allocation"]),
+    ("explain", cmd_explain, &["--system", "--allocation"]),
+    (
+        "simulate",
+        cmd_simulate,
+        &[
+            "--system",
+            "--allocation",
+            "--horizon",
+            "--seed",
+            "--shared",
+            "--least-work",
+            "--cv2",
+            "--availability",
+        ],
+    ),
+    (
+        "baseline",
+        cmd_baseline,
+        &[
+            "--system",
+            "--mc",
+            "--seed",
+            "--granularity",
+            "--init",
+            "--threads",
+            "--require-service",
+        ],
+    ),
+    (
+        "epochs",
+        cmd_epochs,
+        &[
+            "--system",
+            "--epochs",
+            "--volatility",
+            "--seed",
+            "--faults",
+            "--degradation-threshold",
+            "--retries",
+            "--granularity",
+            "--init",
+            "--threads",
+            "--require-service",
+            "--telemetry-out",
+        ],
+    ),
+    (
+        "gen-faults",
+        cmd_gen_faults,
+        &["--system", "--epochs", "--mtbf", "--mttr", "--seed", "--out"],
+    ),
+    (
+        "serve",
+        crate::serve::cmd_serve,
+        &[
+            "--system",
+            "--addr",
+            "--addr-file",
+            "--slo-ms",
+            "--epoch-every",
+            "--seed",
+            "--accept",
+            "--faults",
+            "--degradation-threshold",
+            "--retries",
+            "--logical-clock-us",
+            "--threads",
+            "--granularity",
+            "--init",
+            "--require-service",
+            "--telemetry-out",
+        ],
+    ),
+    ("client", crate::serve::cmd_client, &["--addr", "--addr-file", "--script", "--out"]),
+    ("trace-report", crate::trace::cmd_trace_report, &["--in", "--perfetto", "--top"]),
+];
+
 /// Dispatches one parsed command and returns its rendered output.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for unknown commands, bad flags, unreadable
-/// artifacts or malformed JSON.
+/// Returns [`CliError`] for unknown commands, flags the command does not
+/// read, bad flag values, unreadable artifacts or malformed JSON.
 pub fn run(parsed: &Parsed) -> Result<String, CliError> {
-    match parsed.command.as_str() {
-        "generate" => cmd_generate(parsed),
-        "solve" => cmd_solve(parsed),
-        "evaluate" => cmd_evaluate(parsed),
-        "explain" => cmd_explain(parsed),
-        "simulate" => cmd_simulate(parsed),
-        "baseline" => cmd_baseline(parsed),
-        "epochs" => cmd_epochs(parsed),
-        "gen-faults" => cmd_gen_faults(parsed),
-        "serve" => crate::serve::cmd_serve(parsed),
-        "client" => crate::serve::cmd_client(parsed),
-        "trace-report" => crate::trace::cmd_trace_report(parsed),
-        "help" | "--help" | "-h" => Ok(HELP.to_string()),
-        other => Err(ArgError(format!("unknown command {other:?}; try `cloudalloc help`")).into()),
+    let name = parsed.command.as_str();
+    if matches!(name, "help" | "--help" | "-h") {
+        parsed.check_flags(&[])?;
+        return Ok(HELP.to_string());
     }
+    let Some(&(_, command, flags)) = COMMANDS.iter().find(|(word, ..)| *word == name) else {
+        return Err(ArgError(format!("unknown command {name:?}; try `cloudalloc help`")).into());
+    };
+    parsed.check_flags(flags)?;
+    command(parsed)
 }
 
 // The Monte-Carlo outcome field is named differently; a tiny adapter so
@@ -1200,6 +1301,49 @@ mod tests {
         let err = run(&parse(&["solve", "--system", &sys_path])).unwrap_err();
         assert!(matches!(err, CliError::Model(_)), "got {err:?}");
         assert!(err.to_string().contains("rate_predicted"), "unhelpful message: {err}");
+    }
+
+    #[test]
+    fn help_lists_exactly_the_flags_each_command_reads() {
+        // The COMMANDS block of HELP: one entry per command, continuation
+        // lines indented, ending at the first blank line.
+        let block = HELP.split("COMMANDS\n").nth(1).unwrap().split("\n\n").next().unwrap();
+        let mut entries: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in block.lines() {
+            let rest = line.trim_start();
+            if line.len() - rest.len() == 2 {
+                entries.push((rest.split_whitespace().next().unwrap(), Vec::new()));
+            }
+            let flags = &mut entries.last_mut().unwrap().1;
+            flags.extend(
+                rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter(|word| word.starts_with("--") && word.len() > 2),
+            );
+        }
+        assert_eq!(entries.pop(), Some(("help", Vec::new())));
+        let names: Vec<&str> = entries.iter().map(|&(name, _)| name).collect();
+        let table: Vec<&str> = COMMANDS.iter().map(|&(name, ..)| name).collect();
+        assert_eq!(names, table);
+        for ((name, mut listed), &(_, _, reads)) in entries.into_iter().zip(COMMANDS) {
+            let mut reads = reads.to_vec();
+            listed.sort_unstable();
+            reads.sort_unstable();
+            assert_eq!(listed, reads, "HELP and COMMANDS disagree on {name}");
+        }
+    }
+
+    #[test]
+    fn misspelt_flags_are_rejected_before_the_command_runs() {
+        let sys_path = temp_path("sys_typo.json");
+        run(&parse(&["generate", "--clients", "4", "--preset", "small", "--out", &sys_path]))
+            .unwrap();
+        let err = run(&parse(&["solve", "--system", &sys_path, "--seeed", "5"])).unwrap_err();
+        assert!(matches!(err, CliError::Args(_)), "got {err:?}");
+        assert!(err.to_string().contains("solve does not take --seeed"), "message: {err}");
+        // A switch another command reads is still foreign here.
+        let err = run(&parse(&["evaluate", "--system", &sys_path, "--shared"])).unwrap_err();
+        assert!(err.to_string().contains("evaluate does not take --shared"), "message: {err}");
+        assert!(run(&parse(&["solve", "--system", &sys_path, "--seed", "5"])).is_ok());
     }
 
     #[test]

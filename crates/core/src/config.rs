@@ -100,9 +100,10 @@ impl SolverConfig {
     /// parallelism: the solve schedule is identical for every worker
     /// count, so extra workers beyond the core count can only add spawn
     /// and contention overhead (on a one-core box an eight-worker request
-    /// used to *quadruple* wall-clock at identical profit).
+    /// used to *quadruple* wall-clock at identical profit). The core count
+    /// is resolved once per process.
     pub fn effective_threads(&self) -> usize {
-        let all_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let all_cores = available_cores();
         if let Some(t) = self.num_threads.filter(|&t| t >= 1) {
             return t.min(all_cores);
         }
@@ -137,6 +138,15 @@ pub(crate) fn parse_threads_var(raw: &str) -> Result<usize, String> {
         Ok(t) => Ok(t),
         Err(_) => Err(format!("CLOUDALLOC_THREADS={raw:?} is not a thread count")),
     }
+}
+
+/// The machine's available parallelism, queried once per process:
+/// `effective_threads` runs on every `SolverCtx::new`, i.e. on every solve
+/// and every served request, and the query reads cgroup and affinity
+/// state from the OS each time.
+fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Prints one `warning:` line per process for a bad `CLOUDALLOC_THREADS`

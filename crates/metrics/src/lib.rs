@@ -4,21 +4,17 @@
 //! * [`OnlineStats`] — numerically stable streaming moments (Welford),
 //! * [`Sample`] — buffered samples with percentiles,
 //! * [`Table`] — fixed-width ASCII tables for the figure/table bins,
-//! * [`Histogram`] — fixed-bin histograms with ASCII rendering,
-//! * [`Series`] — x-indexed multi-series data with per-point
-//!   normalization (how the paper's normalized-profit figures are built).
+//! * [`Histogram`] — fixed-bin histograms with ASCII rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod histogram;
 mod sample;
-mod series;
 mod stats;
 mod table;
 
 pub use histogram::Histogram;
 pub use sample::Sample;
-pub use series::{normalize_by_best, Series};
 pub use stats::OnlineStats;
 pub use table::Table;

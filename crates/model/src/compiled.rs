@@ -316,15 +316,6 @@ impl<'a> CompiledSystem<'a> {
         let revenue = self.rate_agreed[client.index()] * self.utility(client).value(r);
         ClientOutcome { response_time: r, revenue }
     }
-
-    /// Operation cost of server `id` carrying `work_processing` units of
-    /// processing work — the compiled twin of the `operation_cost` reads
-    /// in the incremental scorer.
-    #[inline]
-    pub fn server_operation_cost(&self, id: ServerId, work_processing: f64) -> f64 {
-        let class = self.class_of(id);
-        class.operation_cost(work_processing / class.cap_processing)
-    }
 }
 
 /// Finishes a streamed lowering: moves the fully-populated client arrays

@@ -270,6 +270,7 @@ mod tests {
     use crate::ids::{ClusterId, ServerClassId, UtilityClassId};
     use crate::server::Server;
     use crate::{Cluster, UtilityClass, UtilityFunction};
+    use proptest::prelude::*;
 
     fn system() -> CloudSystem {
         let classes = vec![ServerClass::new(ServerClassId(0), 4.0, 2.0, 4.0, 1.0, 0.5)];
@@ -448,5 +449,102 @@ mod tests {
         assert!(!is_stable(0.0, 0.0));
         assert!(!is_stable(f64::INFINITY, 0.0));
         assert!(!is_stable(1.0, -0.1));
+    }
+
+    /// Each stage's stability floor as a share of `class`:
+    /// `(processing?, λ·t̄ / C)` for the processing and communication stage.
+    fn stage_floors(class: &ServerClass, client: &Client) -> [(bool, f64); 2] {
+        [
+            (true, client.min_processing_capacity() / class.cap_processing),
+            (false, client.min_communication_capacity() / class.cap_communication),
+        ]
+    }
+
+    /// All of `client`'s traffic with `share` on one stage and the other
+    /// stage at `other`.
+    fn stage_placement(processing: bool, share: f64, other: f64) -> Placement {
+        if processing {
+            Placement { alpha: 1.0, phi_p: share, phi_c: other }
+        } else {
+            Placement { alpha: 1.0, phi_p: other, phi_c: share }
+        }
+    }
+
+    #[test]
+    fn response_time_diverges_cleanly_toward_each_stability_floor() {
+        // Floors 2·0.5/4 = 0.25 (processing) and 2·0.75/3 = 0.5
+        // (communication), both exact; a full share keeps either stage stable.
+        let class = ServerClass::new(ServerClassId(0), 4.0, 2.0, 3.0, 1.0, 0.5);
+        let client = Client::new(ClientId(0), UtilityClassId(0), 2.0, 2.0, 0.5, 0.75, 1.0);
+        for (processing, floor) in stage_floors(&class, &client) {
+            // Shrinking toward the floor: finite, positive, strictly growing.
+            let mut last = 0.0;
+            for k in 1..=10 {
+                let share = floor * (1.0 + 10f64.powi(-k));
+                let r = placement_response_time(
+                    &class,
+                    &client,
+                    stage_placement(processing, share, 1.0),
+                );
+                assert!(r.is_finite() && r > 0.0, "share {share}: response {r}");
+                assert!(r > last, "share {share}: response must grow toward the floor");
+                last = r;
+            }
+            // At or below the floor the queue is unstable: a clean +∞,
+            // never NaN and never a negative time.
+            for share in [floor, floor * 0.5, 0.0] {
+                let r = placement_response_time(
+                    &class,
+                    &client,
+                    stage_placement(processing, share, 1.0),
+                );
+                assert_eq!(r, f64::INFINITY, "share {share}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn stability_floor_is_tight(
+            rate in 0.01f64..5.0,
+            exec_p in -4i32..=2,
+            exec_c in -4i32..=2,
+            cap_p in -2i32..=4,
+            cap_c in -2i32..=4,
+        ) {
+            // Power-of-two execution times and capacities make each floor
+            // `λ·t̄ / C` exact, so the boundary is hit bit for bit.
+            let class = ServerClass::new(
+                ServerClassId(0),
+                2f64.powi(cap_p),
+                1.0,
+                2f64.powi(cap_c),
+                1.0,
+                0.5,
+            );
+            let client = Client::new(
+                ClientId(0),
+                UtilityClassId(0),
+                rate,
+                rate,
+                2f64.powi(exec_p),
+                2f64.powi(exec_c),
+                0.0,
+            );
+            let [(_, floor_p), (_, floor_c)] = stage_floors(&class, &client);
+            for (processing, floor) in stage_floors(&class, &client) {
+                // The other stage sits at twice its own floor.
+                let other = 2.0 * if processing { floor_c } else { floor_p };
+                let above = placement_response_time(
+                    &class,
+                    &client,
+                    stage_placement(processing, floor * (1.0 + 1e-9), other),
+                );
+                prop_assert!(above.is_finite() && above > 0.0, "just above {floor}: {above}");
+                let at =
+                    placement_response_time(&class, &client, stage_placement(processing, floor, other));
+                prop_assert_eq!(at, f64::INFINITY);
+            }
+        }
     }
 }

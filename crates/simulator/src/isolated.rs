@@ -10,11 +10,11 @@ use rand::{Rng, SeedableRng};
 
 use cloudalloc_metrics::Sample;
 use cloudalloc_model::{Allocation, ClientId, CloudSystem, ServerId};
-use cloudalloc_queueing::sampling;
 
 use crate::config::SimConfig;
 use crate::event::EventQueue;
 use crate::report::{ClientSimStats, SimReport};
+use crate::sampling;
 
 /// One tandem lane: the pair of FIFO queues a client holds on one server.
 struct Lane {
@@ -375,7 +375,6 @@ mod tests {
     fn bursty_service_matches_pollaczek_khinchine() {
         // One stage at a time: the measured tandem mean must match the
         // sum of the two M/G/1 sojourns within Monte-Carlo error.
-        use cloudalloc_queueing::MG1;
         let (sys, alloc) = single_client_system(0.5);
         let cv2 = 4.0;
         let config = SimConfig {
@@ -386,8 +385,9 @@ mod tests {
             ..Default::default()
         };
         let measured = run(&sys, &alloc, &config).clients[0].mean_response();
-        // Each stage: arrival 1, service rate 4, CV² = 4.
-        let predicted = 2.0 * MG1::new(1.0, 4.0, cv2).mean_response_time();
+        // Each stage, by P-K with μ=4, ρ=0.25, CV²=4:
+        // R = 1/μ + ρ(1+CV²)/(2μ(1−ρ)) ≈ 0.4583.
+        let predicted = 2.0 * (0.25 + 0.25 * (1.0 + cv2) / (2.0 * 4.0 * 0.75));
         assert!(
             (measured - predicted).abs() / predicted < 0.08,
             "measured {measured}, P-K predicts {predicted}"

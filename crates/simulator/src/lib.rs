@@ -33,6 +33,7 @@ mod failures;
 mod isolated;
 mod report;
 mod routing;
+mod sampling;
 mod service;
 mod shared;
 mod validate;

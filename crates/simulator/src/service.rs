@@ -55,7 +55,7 @@ impl ServiceDistribution {
         assert!(u_choice > 0.0 && u_choice <= 1.0, "u_choice must lie in (0,1]");
         assert!(mean.is_finite() && mean > 0.0, "mean must be positive, got {mean}");
         match self {
-            Self::Exponential => cloudalloc_queueing::sampling::exponential(u_value, 1.0 / mean),
+            Self::Exponential => crate::sampling::exponential(u_value, 1.0 / mean),
             Self::HyperExponential { cv2 } => {
                 // Balanced-means H2: phase probability
                 // p = (1 + √((cv²−1)/(cv²+1)))/2, rates μ_i = 2p_i/mean,
@@ -67,7 +67,7 @@ impl ServiceDistribution {
                     (1.0 - p, 2.0 * (1.0 - p) / mean)
                 };
                 debug_assert!(prob > 0.0);
-                cloudalloc_queueing::sampling::exponential(u_value, rate)
+                crate::sampling::exponential(u_value, rate)
             }
             Self::Deterministic => mean,
         }

@@ -14,11 +14,11 @@ use rand::{Rng, SeedableRng};
 
 use cloudalloc_metrics::Sample;
 use cloudalloc_model::{Allocation, ClientId, CloudSystem};
-use cloudalloc_queueing::sampling;
 
 use crate::config::SimConfig;
 use crate::event::EventQueue;
 use crate::report::{ClientSimStats, SimReport};
+use crate::sampling;
 
 /// A request in service or queued: its original arrival time and the work
 /// (in capacity-units) still owed on the current stage.

@@ -36,5 +36,5 @@ pub use config::{Range, ScenarioConfig, UtilityShape};
 pub use faults::{FaultEvent, FaultPlan, FaultPlanConfig, FaultRecord};
 pub use generate::generate;
 pub use stream::{ScenarioStream, StreamedScenario};
-pub use sweep::{paper_client_counts, scenario_seeds, Sweep};
+pub use sweep::{paper_client_counts, scenario_seeds};
 pub use trace::DiurnalTrace;

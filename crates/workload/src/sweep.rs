@@ -1,10 +1,6 @@
 //! Parameter sweeps: the client-count axis of the paper's figures and
 //! deterministic seed derivation for multi-scenario averaging.
 
-use serde::{Deserialize, Serialize};
-
-use crate::config::ScenarioConfig;
-
 /// Client counts on the x-axis of the paper's Figures 4 and 5.
 pub fn paper_client_counts() -> Vec<usize> {
     vec![20, 40, 60, 80, 100, 150, 200]
@@ -30,46 +26,6 @@ pub fn scenario_seeds(base: u64, num_clients: usize, count: usize) -> Vec<u64> {
         .collect()
 }
 
-/// A sweep over client counts with repeated scenarios per point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sweep {
-    /// Base configuration; `num_clients` is overridden per point.
-    pub config: ScenarioConfig,
-    /// Client counts to visit.
-    pub client_counts: Vec<usize>,
-    /// Scenarios (seeds) per point.
-    pub scenarios_per_point: usize,
-    /// Base seed for [`scenario_seeds`].
-    pub base_seed: u64,
-}
-
-impl Sweep {
-    /// The paper's Figure-4/5 sweep: §VI config, client counts
-    /// {20,...,200}, `scenarios_per_point` seeds per point.
-    pub fn paper(scenarios_per_point: usize, base_seed: u64) -> Self {
-        Self {
-            config: ScenarioConfig::paper(0),
-            client_counts: paper_client_counts(),
-            scenarios_per_point,
-            base_seed,
-        }
-    }
-
-    /// Iterates `(num_clients, seed)` pairs in sweep order.
-    pub fn points(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.client_counts.iter().flat_map(move |&n| {
-            scenario_seeds(self.base_seed, n, self.scenarios_per_point)
-                .into_iter()
-                .map(move |seed| (n, seed))
-        })
-    }
-
-    /// The configuration for one sweep point.
-    pub fn config_for(&self, num_clients: usize) -> ScenarioConfig {
-        ScenarioConfig { num_clients, ..self.config.clone() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,22 +49,5 @@ mod tests {
         // Different bases do not share seeds.
         let d = scenario_seeds(2, 100, 20);
         assert!(a.iter().all(|s| !d.contains(s)));
-    }
-
-    #[test]
-    fn sweep_visits_every_point_times_every_seed() {
-        let sweep = Sweep::paper(3, 42);
-        let points: Vec<(usize, u64)> = sweep.points().collect();
-        assert_eq!(points.len(), 7 * 3);
-        assert_eq!(points[0].0, 20);
-        assert_eq!(points.last().unwrap().0, 200);
-    }
-
-    #[test]
-    fn config_for_overrides_only_client_count() {
-        let sweep = Sweep::paper(1, 0);
-        let c = sweep.config_for(80);
-        assert_eq!(c.num_clients, 80);
-        assert_eq!(c.num_clusters, sweep.config.num_clusters);
     }
 }

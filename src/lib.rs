@@ -5,7 +5,6 @@
 //! (Goudarzi & Pedram, 2011).
 //!
 //! * [`model`] — clusters, servers, clients, utilities, allocations, profit.
-//! * [`queueing`] — M/M/1 + GPS analytic substrate.
 //! * [`workload`] — scenario generation with the paper's §VI parameters.
 //! * [`core`] — the paper's `Resource_Alloc` heuristic.
 //! * [`baselines`] — modified Proportional-Share, Monte-Carlo best-found.
@@ -29,7 +28,6 @@ pub use cloudalloc_metrics as metrics;
 pub use cloudalloc_model as model;
 pub use cloudalloc_multitier as multitier;
 pub use cloudalloc_protocol as protocol;
-pub use cloudalloc_queueing as queueing;
 pub use cloudalloc_server as server;
 pub use cloudalloc_simulator as simulator;
 pub use cloudalloc_telemetry as telemetry;
