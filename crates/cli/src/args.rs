@@ -30,13 +30,18 @@ const SWITCHES: &[&str] = &["--require-service", "--shared", "--least-work", "--
 
 impl Parsed {
     /// Parses an iterator of argument words (without the binary name).
+    /// `--help` or `-h` anywhere on the line asks for the `help` command.
     ///
     /// # Errors
     ///
     /// Returns [`ArgError`] when no subcommand is present, a flag is
     /// malformed, or a value-flag misses its value.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
-        let mut it = args.into_iter();
+        let words: Vec<String> = args.into_iter().collect();
+        if words.iter().any(|w| w == "--help" || w == "-h") {
+            return Ok(Parsed { command: "help".into(), ..Default::default() });
+        }
+        let mut it = words.into_iter();
         let command = it
             .next()
             .ok_or_else(|| ArgError("missing subcommand; try `cloudalloc help`".into()))?;
@@ -138,6 +143,18 @@ mod tests {
     fn dangling_flag_is_an_error() {
         let err = parse(&["solve", "--seed"]).unwrap_err();
         assert!(err.to_string().contains("requires a value"));
+    }
+
+    #[test]
+    fn help_anywhere_on_the_line_asks_for_help() {
+        for words in [
+            &["solve", "--help"][..],
+            &["solve", "--system", "s.json", "-h"],
+            &["serve", "--seed", "--help"],
+            &["-h"],
+        ] {
+            assert_eq!(parse(words).unwrap().command, "help", "{words:?}");
+        }
     }
 
     #[test]

@@ -422,6 +422,66 @@ impl Allocation {
         held
     }
 
+    /// Appends one unassigned client slot, numbered after the last — what
+    /// [`Allocation::replayed_onto`] gives a population grown by one.
+    pub fn push_client(&mut self) {
+        self.cluster_of.push(None);
+        self.placements.push(Vec::new());
+    }
+
+    /// Deletes the slot of `client` in place and renumbers every later
+    /// client down by one, keeping the resident lists sorted. Server
+    /// aggregates are left as they are: the client must hold no
+    /// placements (clear it first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or the client holds placements.
+    pub fn remove_client(&mut self, client: ClientId) {
+        let i = client.index();
+        assert!(self.placements[i].is_empty(), "{client} must be cleared before removal");
+        self.cluster_of.remove(i);
+        self.placements.remove(i);
+        if i == self.placements.len() {
+            return;
+        }
+        for residents in &mut self.residents {
+            for r in residents.iter_mut().filter(|r| r.index() > i) {
+                *r = ClientId(r.index() - 1);
+            }
+        }
+    }
+
+    /// Recomputes the aggregate load of `server` from its background in
+    /// `system`, adding its residents in id order — bit for bit the sums
+    /// [`Allocation::replayed_onto`] produces, without the float drift and
+    /// clamping [`Allocation::remove`] leaves behind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range for `system` or this allocation.
+    pub fn recompute_load(&mut self, system: &CloudSystem, server: ServerId) {
+        let bg = system.background(server);
+        let mut load = ServerLoad {
+            phi_p: bg.phi_p,
+            phi_c: bg.phi_c,
+            storage: bg.storage,
+            work_processing: 0.0,
+            placements: 0,
+        };
+        for &client in &self.residents[server.index()] {
+            let p = self.placement(client, server).expect("a resident holds a placement");
+            let c = system.client(client);
+            load.phi_p += p.phi_p;
+            load.phi_c += p.phi_c;
+            load.storage += c.storage;
+            load.work_processing += p.alpha * c.rate_predicted * c.exec_processing;
+            load.placements += 1;
+        }
+        self.loads[server.index()] = load;
+        self.bump_slack(server.index());
+    }
+
     /// Unconditionally writes the cluster slot of `client`, bypassing the
     /// placement guard of [`Allocation::assign_cluster`]. Used by the
     /// incremental evaluator's journal rollback, which replays inverse
@@ -681,6 +741,34 @@ mod tests {
             }
         }
         alloc.assert_consistent(&sys);
+    }
+
+    #[test]
+    fn in_place_slot_edits_and_recompute_match_a_replay() {
+        let (sys, mut alloc) = placed();
+        alloc.assign_cluster(ClientId(1), ClusterId(0));
+        alloc.place(
+            &sys,
+            ClientId(1),
+            ServerId(0),
+            Placement { alpha: 1.0, phi_p: 0.3, phi_c: 0.3 },
+        );
+        // Remove's subtract-and-clamp drifts; a recompute lands on the
+        // replay's sums exactly.
+        alloc.clear_client(&sys, ClientId(0));
+        alloc.recompute_load(&sys, ServerId(0));
+        alloc.recompute_load(&sys, ServerId(1));
+        let replay = alloc.replayed_onto(&sys);
+        for j in 0..sys.num_servers() {
+            assert_eq!(alloc.load(ServerId(j)), replay.load(ServerId(j)));
+        }
+        // Dropping the cleared slot renumbers the later resident.
+        alloc.remove_client(ClientId(0));
+        assert_eq!(alloc.residents(ServerId(0)), &[ClientId(0)]);
+        assert_eq!(alloc.cluster_of(ClientId(0)), Some(ClusterId(0)));
+        alloc.push_client();
+        assert_eq!(alloc.cluster_of(ClientId(1)), None);
+        assert!(alloc.placements(ClientId(1)).is_empty());
     }
 
     /// Exact per-cluster maxima recomputed from scratch, for comparison

@@ -316,6 +316,29 @@ impl<'a> CompiledSystem<'a> {
         let revenue = self.rate_agreed[client.index()] * self.utility(client).value(r);
         ClientOutcome { response_time: r, revenue }
     }
+
+    /// Hands the client arrays back out of the view, the inverse of
+    /// [`compile_streamed`]: a caller that keeps a population's lowering
+    /// across short-lived views moves it in and takes it back out without
+    /// copying or re-deriving a slot.
+    pub fn into_clients(self) -> LoweredClients {
+        let num_clients = self.rate_predicted.len();
+        LoweredClients {
+            num_clients,
+            num_classes: self.classes.len(),
+            filled: num_clients,
+            rate_predicted: self.rate_predicted,
+            rate_agreed: self.rate_agreed,
+            exec_processing: self.exec_processing,
+            exec_communication: self.exec_communication,
+            client_storage: self.client_storage,
+            utility_index: self.utility_index,
+            ref_weight: self.ref_weight,
+            ref_marginal: self.ref_marginal,
+            m_p: self.m_p,
+            m_c: self.m_c,
+        }
+    }
 }
 
 /// Finishes a streamed lowering: moves the fully-populated client arrays
@@ -526,6 +549,13 @@ mod tests {
                 assert_eq!(streamed.m_p(ci, id).to_bits(), batch.m_p(ci, id).to_bits());
                 assert_eq!(streamed.m_c(ci, id).to_bits(), batch.m_c(ci, id).to_bits());
             }
+        }
+        // The arrays survive a round trip out of the view and back in.
+        let again = compile_streamed(&sys, streamed.into_clients());
+        for i in 0..sys.num_clients() {
+            let id = ClientId(i);
+            assert_eq!(again.ref_weight(id).to_bits(), batch.ref_weight(id).to_bits());
+            assert_eq!(again.m_c(1, id).to_bits(), batch.m_c(1, id).to_bits());
         }
     }
 

@@ -84,9 +84,9 @@ impl MemoryBudget {
 /// clients arrive. See the module docs for the bit-identity contract.
 #[derive(Debug, Clone)]
 pub struct LoweredClients {
-    num_clients: usize,
-    num_classes: usize,
-    filled: usize,
+    pub(crate) num_clients: usize,
+    pub(crate) num_classes: usize,
+    pub(crate) filled: usize,
     pub(crate) rate_predicted: Vec<f64>,
     pub(crate) rate_agreed: Vec<f64>,
     pub(crate) exec_processing: Vec<f64>,
@@ -195,6 +195,98 @@ impl LoweredClients {
         out
     }
 
+    /// Appends the lowering of one more client to a complete lowering:
+    /// the class-major `m^p`/`m^c` tables are re-strided in place to the
+    /// grown population and the new slots are written by
+    /// [`LoweredClients::push_chunk`] itself, so they are bit-identical to
+    /// a batch compile of the grown population. The admission server's
+    /// arrival seam.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lowering is incomplete or the catalog size
+    /// disagrees with construction; debug builds also check that the
+    /// client's id is the next one.
+    pub fn push_client(
+        &mut self,
+        classes: &[ServerClass],
+        utilities: &[UtilityClass],
+        client: &Client,
+    ) {
+        assert!(self.is_complete(), "only a complete lowering grows by one client");
+        let n = self.num_clients;
+        for table in [&mut self.m_p, &mut self.m_c] {
+            table.resize(self.num_classes * (n + 1), 0.0);
+            for ci in (1..self.num_classes).rev() {
+                table.copy_within(ci * n..(ci + 1) * n, ci * (n + 1));
+            }
+        }
+        self.num_clients = n + 1;
+        self.push_chunk(classes, utilities, std::slice::from_ref(client));
+    }
+
+    /// Deletes client `id`'s slots from a complete lowering, renumbering
+    /// every later client down by one — the exact arrays a batch compile
+    /// of the remaining population produces, moved rather than
+    /// re-derived.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lowering is incomplete or the id is out of range.
+    pub fn remove_client(&mut self, id: ClientId) {
+        assert!(self.is_complete(), "only a complete lowering drops a client");
+        let (n, i) = (self.num_clients, id.index());
+        assert!(i < n, "{id} is outside a lowering of {n} clients");
+        for column in [
+            &mut self.rate_predicted,
+            &mut self.rate_agreed,
+            &mut self.exec_processing,
+            &mut self.exec_communication,
+            &mut self.client_storage,
+            &mut self.ref_weight,
+            &mut self.ref_marginal,
+        ] {
+            column.remove(i);
+        }
+        self.utility_index.remove(i);
+        for table in [&mut self.m_p, &mut self.m_c] {
+            let mut kept = 0;
+            for ci in 0..self.num_classes {
+                let start = ci * n;
+                table.copy_within(start..start + i, kept);
+                kept += i;
+                table.copy_within(start + i + 1..start + n, kept);
+                kept += n - i - 1;
+            }
+            table.truncate(kept);
+        }
+        self.num_clients = n - 1;
+        self.filled = n - 1;
+    }
+
+    /// Replaces client `id`'s agreed and predicted rates, re-deriving the
+    /// reference weight and marginal with [`LoweredClients::push_chunk`]'s
+    /// expressions. The service-rate tables do not depend on rates.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the id has not been lowered.
+    pub fn set_rates(
+        &mut self,
+        utilities: &[UtilityClass],
+        id: ClientId,
+        rate_agreed: f64,
+        rate_predicted: f64,
+    ) {
+        let i = id.index();
+        assert!(i < self.filled, "{id} has not been lowered");
+        let u = &utilities[self.utility_index[i]].function;
+        self.rate_predicted[i] = rate_predicted;
+        self.rate_agreed[i] = rate_agreed;
+        self.ref_weight[i] = (rate_agreed * u.reference_slope()).max(1e-9);
+        self.ref_marginal[i] = rate_agreed * u.reference_slope();
+    }
+
     /// Clients lowered so far.
     pub fn len(&self) -> usize {
         self.filled
@@ -267,6 +359,63 @@ mod tests {
         let (classes, utils) = catalogs();
         let mut lowered = LoweredClients::new(1, 2);
         lowered.push_chunk(&classes, &utils, &[client(0, 0), client(1, 1)]);
+    }
+
+    /// Every slot of two lowerings, bitwise.
+    fn assert_same(a: &LoweredClients, b: &LoweredClients) {
+        assert_eq!(
+            (a.num_clients, a.num_classes, a.filled),
+            (b.num_clients, b.num_classes, b.filled)
+        );
+        assert_eq!(a.utility_index, b.utility_index);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (x, y) in [
+            (&a.rate_predicted, &b.rate_predicted),
+            (&a.rate_agreed, &b.rate_agreed),
+            (&a.exec_processing, &b.exec_processing),
+            (&a.exec_communication, &b.exec_communication),
+            (&a.client_storage, &b.client_storage),
+            (&a.ref_weight, &b.ref_weight),
+            (&a.ref_marginal, &b.ref_marginal),
+            (&a.m_p, &b.m_p),
+            (&a.m_c, &b.m_c),
+        ] {
+            assert_eq!(bits(x), bits(y));
+        }
+    }
+
+    fn lowered(
+        classes: &[ServerClass],
+        utils: &[UtilityClass],
+        clients: &[Client],
+    ) -> LoweredClients {
+        let mut out = LoweredClients::new(clients.len(), classes.len());
+        out.push_chunk(classes, utils, clients);
+        out
+    }
+
+    #[test]
+    fn in_place_edits_match_a_batch_lowering() {
+        let (classes, utils) = catalogs();
+        let mut population: Vec<Client> = (0..5).map(|i| client(i, i % 2)).collect();
+        let mut kept = LoweredClients::new(0, 2);
+        for c in &population {
+            kept.push_client(&classes, &utils, c);
+        }
+        assert_same(&kept, &lowered(&classes, &utils, &population));
+
+        kept.remove_client(ClientId(1));
+        population.remove(1);
+        for (pos, c) in population.iter_mut().enumerate() {
+            c.id = ClientId(pos);
+        }
+        assert_same(&kept, &lowered(&classes, &utils, &population));
+
+        kept.set_rates(&utils, ClientId(2), 7.5, 0.75);
+        (population[2].rate_agreed, population[2].rate_predicted) = (7.5, 0.75);
+        kept.remove_client(ClientId(3));
+        population.pop();
+        assert_same(&kept, &lowered(&classes, &utils, &population));
     }
 
     #[test]

@@ -205,6 +205,38 @@ impl CloudSystem {
         self.clients.reserve_exact(additional);
     }
 
+    /// Deletes client `id` in place and renumbers every later client down
+    /// by one, so ids keep equalling positions — the admission server's
+    /// departure seam, equal to re-admitting the survivors through
+    /// [`CloudSystem::try_with_clients`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn remove_client(&mut self, id: ClientId) -> Client {
+        let removed = self.clients.remove(id.index());
+        for (pos, client) in self.clients.iter_mut().enumerate().skip(id.index()) {
+            client.id = ClientId(pos);
+        }
+        removed
+    }
+
+    /// Replaces client `id`'s agreed and predicted arrival rates in place
+    /// (a renegotiated contract).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range or either rate is not positive
+    /// and finite.
+    pub fn set_client_rates(&mut self, id: ClientId, rate_agreed: f64, rate_predicted: f64) {
+        for rate in [rate_agreed, rate_predicted] {
+            assert!(rate.is_finite() && rate > 0.0, "rates must be positive, got {rate}");
+        }
+        let client = &mut self.clients[id.index()];
+        client.rate_agreed = rate_agreed;
+        client.rate_predicted = rate_predicted;
+    }
+
     /// Full consistency check for systems that *bypassed* the fallible
     /// constructors — serde derives on the private fields mean a
     /// deserialized JSON scenario never went through `try_add_*`. The CLI
@@ -758,6 +790,21 @@ mod tests {
         assert_eq!(masked.background(ServerId(1)), sys.background(ServerId(1)));
         // Duplicate ids are a no-op on top of the first failure.
         assert_eq!(masked, sys.with_failed_servers(&[ServerId(0), ServerId(2), ServerId(0)]));
+    }
+
+    #[test]
+    fn in_place_client_edits_match_a_rebuilt_population() {
+        let mut sys = two_cluster_system();
+        sys.add_client(Client::new(ClientId(1), UtilityClassId(0), 2.0, 2.0, 0.5, 0.5, 1.0));
+        sys.add_client(Client::new(ClientId(2), UtilityClassId(0), 3.0, 3.0, 0.5, 0.5, 1.0));
+        let mut edited = sys.clone();
+        assert_eq!(edited.remove_client(ClientId(1)).id, ClientId(1));
+        edited.set_client_rates(ClientId(1), 4.0, 5.0);
+        let mut survivors = vec![sys.client(ClientId(0)).clone(), sys.client(ClientId(2)).clone()];
+        survivors[1].id = ClientId(1);
+        (survivors[1].rate_agreed, survivors[1].rate_predicted) = (4.0, 5.0);
+        assert_eq!(edited, sys.try_with_clients(survivors).unwrap());
+        edited.validate().expect("ids still equal positions");
     }
 
     #[test]

@@ -145,6 +145,7 @@ proptest! {
     /// Every `ClientMessage` survives serialize→parse bit-for-bit, and the
     /// canonical encoding is stable (re-encoding the decoded value yields
     /// the same bytes).
+    #[test]
     fn client_message_round_trips(p in pool(7)) {
         let msg = client_message(&p);
         let line = encode_line(&msg);
@@ -156,6 +157,7 @@ proptest! {
 
     /// Every `ServerMessage` (including `Delta`-wrapped `ModelOp`s) survives
     /// serialize→parse bit-for-bit with a stable canonical encoding.
+    #[test]
     fn server_message_round_trips(p in pool(11)) {
         let msg = server_message(&p);
         let line = encode_line(&msg);
@@ -167,6 +169,7 @@ proptest! {
 
     /// Every `ModelOp` survives a round trip on its own (subscribers fold
     /// ops straight off the wire).
+    #[test]
     fn model_op_round_trips(p in pool(8)) {
         let op = model_op(&p);
         let line = encode_line(&op);
@@ -176,6 +179,7 @@ proptest! {
 
     /// Truncating a valid encoded message at *any* byte boundary yields a
     /// typed error — never a panic, never a silently wrong parse.
+    #[test]
     fn truncated_lines_error_not_panic(p in pool(11)) {
         let line = encode_line(&server_message(&p));
         for cut in 1..line.len() {
@@ -199,6 +203,7 @@ proptest! {
 
     /// Garbage bytes (valid UTF-8, arbitrary structure) always produce a
     /// typed error on both message types.
+    #[test]
     fn garbage_lines_error_not_panic(bytes in vec(0u32..128, 0..40)) {
         let garbage: String = bytes.iter().filter_map(|&b| char::from_u32(b)).collect();
         if let Err(e) = decode_line::<ClientMessage>(&garbage) {

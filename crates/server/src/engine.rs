@@ -5,11 +5,28 @@
 //!
 //! The engine is started with a *universe*: a scenario file naming every
 //! client that could ever ask for service. The *served population* is the
-//! subset that asked and was admitted; it is materialized as a dense
-//! [`CloudSystem`] (client ids renumbered `0..members.len()` via
-//! [`CloudSystem::try_with_clients`]) so the whole solver stack — compiled
-//! lowering, incremental scorer, operators — runs on it unchanged. The
-//! protocol always speaks universe ids; the engine translates.
+//! subset that asked and was admitted; it is kept as a dense, fault-masked
+//! [`CloudSystem`] (client ids `0..members.len()` in admission order) so
+//! the whole solver stack — compiled lowering, candidate search,
+//! operators — runs on it unchanged. The protocol always speaks universe
+//! ids; the engine translates.
+//!
+//! That state lives in place across requests, and a request updates only
+//! the parts it touches:
+//!
+//! - the population, masked once per fault event rather than per request;
+//! - its lowered client rows ([`LoweredClients`]), lent to each request's
+//!   compiled view and taken back out of it;
+//! - the allocation, whose touched servers are re-summed from their
+//!   background and residents in dense order, so every aggregate stays
+//!   bit-equal to a fresh [`Allocation::replayed_onto`];
+//! - one cached revenue term per member and one cached operating-cost
+//!   term per server.
+//!
+//! Admit and renegotiate therefore cost one [`best_cluster`] search plus
+//! flat, ordered sums, and depart costs no search at all. Folds, repairs,
+//! re-seats and fault events re-derive every part from the membership,
+//! because they re-optimize everything anyway.
 //!
 //! # Decision rule
 //!
@@ -18,10 +35,12 @@
 //! allocation, accepted iff the candidate's exact marginal profit is
 //! positive — the same admission economics [`ops::shed_unprofitable`]
 //! enforces in reverse. The profit *reported* to clients, however, is
-//! always the canonical batch score ([`evaluate`]) of the served
-//! population, so an external audit that re-scores the same population
-//! matches the server's numbers exactly, not merely within the
-//! incremental scorer's drift tolerance.
+//! always the canonical batch score of the served population: the cached
+//! terms summed in the order of [`evaluate`], so an external audit that
+//! re-scores the same population matches the server's numbers exactly,
+//! not merely within the incremental scorer's drift tolerance.
+//!
+//! [`evaluate`]: cloudalloc_model::evaluate
 //!
 //! # Determinism
 //!
@@ -30,9 +49,12 @@
 //! seam; every randomized choice inside a fold or escalation derives its
 //! seed from the configured base seed and the epoch counter.
 
-use cloudalloc_core::{best_cluster, commit_scored, ops, SolverConfig, SolverCtx};
+use cloudalloc_core::{best_cluster, commit_scored, ops, Candidate, SolverConfig, SolverCtx};
 use cloudalloc_epoch::{repair_escalate, RepairPolicy};
-use cloudalloc_model::{evaluate, Allocation, ClientId, CloudSystem, ScoredAllocation, ServerId};
+use cloudalloc_model::{
+    compile_streamed, evaluate_client, Allocation, ClientId, CloudSystem, CompiledSystem,
+    LoweredClients, ScoredAllocation, ServerId,
+};
 use cloudalloc_protocol::{
     ClientMessage, LogPosition, ModelOp, RejectReason, ServerMessage, WirePlacement,
     PROTOCOL_VERSION,
@@ -117,13 +139,18 @@ pub struct Engine {
     members: Vec<ClientId>,
     /// Universe id → dense id of served clients.
     dense_of: Vec<Option<usize>>,
-    /// The served population as a dense system (unmasked; fault masking
-    /// is applied on demand).
+    /// The served population as a dense system with fault masking
+    /// applied — exactly what the engine scores against.
     population: CloudSystem,
-    /// Decision state over `population` (dense ids). Derived aggregates
-    /// are rebuilt via [`Allocation::replayed_onto`] wherever a freshly
-    /// parameterized system is needed.
+    /// The lowered client rows of `population`, in dense order.
+    lowered: LoweredClients,
+    /// Decision state over `population` (dense ids), its aggregates
+    /// bit-equal to a replay onto `population`.
     alloc: Allocation,
+    /// `evaluate`'s revenue term of each member, in dense order.
+    revenue: Vec<f64>,
+    /// `evaluate`'s cost term of each server; `None` while OFF.
+    cost: Vec<Option<f64>>,
     /// Per-server down flags maintained from fault events.
     down: Vec<bool>,
     /// Fault schedule folded in by epoch index, if any.
@@ -145,7 +172,9 @@ impl Engine {
         let rates = universe.clients().iter().map(|c| (c.rate_agreed, c.rate_predicted)).collect();
         let population =
             universe.try_with_clients(Vec::new()).expect("empty population is always valid");
+        let lowered = LoweredClients::new(0, population.server_classes().len());
         let alloc = Allocation::new(&population);
+        let cost = vec![None; universe.num_servers()];
         let down = vec![false; universe.num_servers()];
         let dense_of = vec![None; universe.num_clients()];
         Self {
@@ -154,7 +183,10 @@ impl Engine {
             members: Vec::new(),
             dense_of,
             population,
+            lowered,
             alloc,
+            revenue: Vec::new(),
+            cost,
             down,
             plan: None,
             epoch: 0,
@@ -209,13 +241,13 @@ impl Engine {
     /// The served population as a dense system, with fault masking
     /// applied — exactly what the engine scores against.
     pub fn masked_population(&self) -> CloudSystem {
-        self.population.with_failed_servers(&self.failed())
+        self.population.clone()
     }
 
     /// The engine's decision state over the dense population, with
     /// aggregates rebuilt against [`Engine::masked_population`].
     pub fn allocation(&self) -> Allocation {
-        self.alloc.replayed_onto(&self.masked_population())
+        self.alloc.replayed_onto(&self.population)
     }
 
     /// The first message of every connection.
@@ -275,33 +307,35 @@ impl Engine {
             return self.reject(req, u, RejectReason::AlreadyAdmitted, t0, clock);
         }
 
-        // Grow the population by the applicant and ask the incremental
-        // scorer for its best marginal placement.
+        // Grow the population by the applicant, last in dense order, and
+        // ask the incremental scorer for its best marginal placement. Like
+        // a freshly scored allocation, the search sees exact slack bounds.
         let dense = ClientId(self.members.len());
-        let mut next_members = self.members.clone();
-        next_members.push(u);
-        let grown = self.build_population(&next_members);
-        let masked = grown.with_failed_servers(&self.failed());
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored =
-            ScoredAllocation::lowered(&ctx.compiled, self.alloc.replayed_onto(&masked));
-        let candidate = best_cluster(&ctx, scored.alloc(), dense);
+        let mut client = self.universe.client(u).clone();
+        client.id = dense;
+        (client.rate_agreed, client.rate_predicted) = self.rates[u.index()];
+        self.lowered.push_client(
+            self.population.server_classes(),
+            self.population.utility_classes(),
+            &client,
+        );
+        self.population.add_client(client);
+        self.alloc.push_client();
+        self.alloc.refresh_slack();
+        let candidate = self.with_ctx(|ctx, alloc| best_cluster(ctx, alloc, dense));
 
         let Some(candidate) = candidate.filter(|c| c.score > 0.0) else {
+            self.population.remove_client(dense);
+            self.lowered.remove_client(dense);
+            self.alloc.remove_client(dense);
             return self.reject(req, u, RejectReason::Unprofitable, t0, clock);
         };
-        commit_scored(&mut scored, dense, &candidate);
         let cluster = candidate.cluster;
-        let alloc = scored.into_allocation();
-        let profit_before = self.profit;
-
-        self.members = next_members;
+        self.members.push(u);
         self.dense_of[u.index()] = Some(dense.index());
-        self.population = grown;
-        self.alloc = alloc;
-        // Canonical profit: batch-score the *replayed* allocation, the
-        // same computation any auditor reproduces from the public
-        // accessors — so the reported number matches bit for bit.
+        self.revenue.push(0.0);
+        self.seat(dense, &candidate, &[]);
+        let profit_before = self.profit;
         self.profit = self.canonical_profit();
         let profit = self.profit;
         self.stats.admitted += 1;
@@ -338,7 +372,8 @@ impl Engine {
             return self.reject(req, u, RejectReason::NotAdmitted, t0, clock);
         }
 
-        self.remove_members(&[u]);
+        let left = self.drop_member(ClientId(self.dense_of[u.index()].expect("admitted")));
+        self.resum(left);
         self.profit = self.canonical_profit();
         self.stats.departed += 1;
         let mut ops = vec![self.push_op(ModelOp::Departed { client: u })];
@@ -382,30 +417,40 @@ impl Engine {
 
         // Re-place the client from scratch under the proposed contract;
         // the old contract stays in force unless the new one carries a
-        // positive marginal profit of its own.
+        // positive marginal profit of its own. The search sees the
+        // standing allocation replayed under the proposed rates, scored
+        // afresh (exact slack bounds) and then cleared of the client,
+        // exactly as a rebuilt population would.
         let dense = ClientId(self.dense_of[u.index()].expect("admitted"));
         let old_rates = self.rates[u.index()];
-        self.rates[u.index()] = (rate_agreed, rate_predicted);
-        let renegotiated = self.build_population(&self.members.clone());
-        self.rates[u.index()] = old_rates;
+        let old_cluster = self.alloc.cluster_of(dense);
+        let held = self.alloc.placements(dense).to_vec();
+        let held_servers: Vec<ServerId> = held.iter().map(|&(server, _)| server).collect();
+        self.set_rates(dense, (rate_agreed, rate_predicted));
+        for &server in &held_servers {
+            self.alloc.recompute_load(&self.population, server);
+        }
+        self.alloc.refresh_slack();
+        self.alloc.clear_client(&self.population, dense);
+        let candidate = self.with_ctx(|ctx, alloc| best_cluster(ctx, alloc, dense));
 
-        let masked = renegotiated.with_failed_servers(&self.failed());
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored =
-            ScoredAllocation::lowered(&ctx.compiled, self.alloc.replayed_onto(&masked));
-        scored.clear_client(dense);
-        let candidate = best_cluster(&ctx, scored.alloc(), dense);
         let Some(candidate) = candidate.filter(|c| c.score > 0.0) else {
+            // Back to the old contract and seat, re-summed to the bits
+            // the request found.
+            self.set_rates(dense, old_rates);
+            if let Some(cluster) = old_cluster {
+                self.alloc.assign_cluster(dense, cluster);
+                for &(server, placement) in &held {
+                    self.alloc.place(&self.population, dense, server, placement);
+                }
+            }
+            self.resum(held_servers);
             return self.reject(req, u, RejectReason::Unprofitable, t0, clock);
         };
-        commit_scored(&mut scored, dense, &candidate);
         let cluster = candidate.cluster;
-        let alloc = scored.into_allocation();
-        let profit_before = self.profit;
-
         self.rates[u.index()] = (rate_agreed, rate_predicted);
-        self.population = renegotiated;
-        self.alloc = alloc;
+        self.seat(dense, &candidate, &held_servers);
+        let profit_before = self.profit;
         self.profit = self.canonical_profit();
         let profit = self.profit;
         self.stats.renegotiated += 1;
@@ -502,7 +547,6 @@ impl Engine {
                         if spiked.is_finite() && spiked > 0.0 {
                             self.rates[client.index()] = (agreed, spiked);
                             if self.is_admitted(client) {
-                                self.population = self.build_population(&self.members.clone());
                                 spiked_members.push(client);
                             }
                             ops.push(self.push_op(ModelOp::Renegotiated {
@@ -514,6 +558,13 @@ impl Engine {
                     }
                 }
             }
+        }
+        // The mask or the rates changed: re-derive the kept state. The
+        // reported profit stays the pre-fault one until a re-score below,
+        // since repair measures degradation against it.
+        if !ops.is_empty() {
+            self.remask();
+            self.rescore();
         }
 
         // A failure strands placements when a served client lives on the
@@ -548,22 +599,23 @@ impl Engine {
     /// seat. Used after rate spikes, whose stale placements may violate
     /// stability.
     fn reseat(&mut self, members: &[ClientId]) -> Vec<(LogPosition, ModelOp)> {
-        let masked = self.masked_population();
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored =
-            ScoredAllocation::lowered(&ctx.compiled, self.alloc.replayed_onto(&masked));
-        for &u in members {
-            let Some(dense) = self.dense_of[u.index()] else { continue };
-            let dense = ClientId(dense);
-            scored.clear_client(dense);
-            if let Some(candidate) =
-                best_cluster(&ctx, scored.alloc(), dense).filter(|c| c.score > 0.0)
-            {
-                commit_scored(&mut scored, dense, &candidate);
+        let dense: Vec<ClientId> =
+            members.iter().filter_map(|u| self.dense_of[u.index()]).map(ClientId).collect();
+        let next = self.with_ctx(|ctx, alloc| {
+            let mut scored =
+                ScoredAllocation::lowered(&ctx.compiled, alloc.replayed_onto(ctx.system));
+            for &d in &dense {
+                scored.clear_client(d);
+                if let Some(candidate) =
+                    best_cluster(ctx, scored.alloc(), d).filter(|c| c.score > 0.0)
+                {
+                    commit_scored(&mut scored, d, &candidate);
+                }
+                // No profitable seat: left cleared, so `adopt` sheds it.
             }
-            // No profitable seat: left cleared, so `adopt` sheds it.
-        }
-        self.adopt(scored.into_allocation())
+            scored.into_allocation()
+        });
+        self.adopt(next)
     }
 
     /// Runs the epoch loop's repair → shed → escalate machine
@@ -574,10 +626,9 @@ impl Engine {
         let _span = telemetry::span!("serve.repair");
         telemetry::counter!("serve.repairs").incr();
         let failed = self.failed();
-        let masked = self.population.with_failed_servers(&failed);
-        let stale = self.alloc.replayed_onto(&masked);
+        let stale = self.alloc.replayed_onto(&self.population);
         let (repaired, _) = repair_escalate(
-            &masked,
+            &self.population,
             stale,
             &failed,
             self.profit,
@@ -606,13 +657,15 @@ impl Engine {
             self.plan = Some(plan);
         }
 
-        let masked = self.masked_population();
-        let ctx = SolverCtx::new(&masked, &self.config.solver);
-        let mut scored =
-            ScoredAllocation::lowered(&ctx.compiled, self.alloc.replayed_onto(&masked));
-        cloudalloc_core::improve_scored(&ctx, &mut scored, self.fold_seed());
-        ops::shed_unprofitable(&ctx, &mut scored);
-        ops.extend(self.adopt(scored.into_allocation()));
+        let seed = self.fold_seed();
+        let next = self.with_ctx(|ctx, alloc| {
+            let mut scored =
+                ScoredAllocation::lowered(&ctx.compiled, alloc.replayed_onto(ctx.system));
+            cloudalloc_core::improve_scored(ctx, &mut scored, seed);
+            ops::shed_unprofitable(ctx, &mut scored);
+            scored.into_allocation()
+        });
+        ops.extend(self.adopt(next));
 
         self.epoch += 1;
         ops.push(self.push_op(ModelOp::Epoch { epoch: self.epoch, profit: self.profit }));
@@ -651,11 +704,10 @@ impl Engine {
         for &u in &gone {
             ops.push(self.push_op(ModelOp::Shed { client: u }));
             telemetry::counter!("serve.sheds").incr();
+            self.drop_member(ClientId(self.dense_of[u.index()].expect("member")));
         }
         self.stats.shed += gone.len() as u64;
-        if !gone.is_empty() {
-            self.remove_members(&gone);
-        }
+        self.rescore();
         self.profit = self.canonical_profit();
         ops
     }
@@ -670,11 +722,97 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Population plumbing
+    // Kept state
     // ------------------------------------------------------------------
 
-    /// Builds the dense system for a membership list, applying the
-    /// current (possibly renegotiated) rates.
+    /// Runs `f` against a solver context over the population, lending it
+    /// the kept lowering and taking it back afterwards. Each call mints a
+    /// fresh context (new ψ, new token), so no pooled level table outlives
+    /// the client rows it was built from.
+    fn with_ctx<R>(&mut self, f: impl FnOnce(&SolverCtx<'_>, &Allocation) -> R) -> R {
+        let lowered = std::mem::replace(&mut self.lowered, LoweredClients::new(0, 0));
+        let ctx = SolverCtx::from_compiled(
+            &self.config.solver,
+            compile_streamed(&self.population, lowered),
+        );
+        let out = f(&ctx, &self.alloc);
+        self.lowered = ctx.compiled.into_clients();
+        out
+    }
+
+    /// Commits `candidate` for dense client `d`, which holds no
+    /// placements, re-sums every server it touched (`left`, the servers
+    /// it just vacated, and its new ones) and refreshes its revenue term.
+    fn seat(&mut self, d: ClientId, candidate: &Candidate, left: &[ServerId]) {
+        self.alloc.assign_cluster(d, candidate.cluster);
+        for &(server, placement) in &candidate.placements {
+            self.alloc.place(&self.population, d, server, placement);
+        }
+        self.resum(
+            left.iter().chain(candidate.placements.iter().map(|(server, _)| server)).copied(),
+        );
+        self.revenue[d.index()] = evaluate_client(&self.population, &self.alloc, d).revenue;
+    }
+
+    /// Re-sums the aggregates of `servers` from their background and
+    /// residents in dense order — bit for bit a replay, without the drift
+    /// and clamping [`Allocation::remove`] leaves — and refreshes their
+    /// cost terms.
+    fn resum(&mut self, servers: impl IntoIterator<Item = ServerId>) {
+        for server in servers {
+            self.alloc.recompute_load(&self.population, server);
+            self.cost[server.index()] = server_cost(&self.population, &self.alloc, server);
+        }
+    }
+
+    /// Deletes dense member `d` from every kept part, renumbering later
+    /// members down by one. Returns the servers it left, whose aggregates
+    /// still need a [`Engine::resum`].
+    fn drop_member(&mut self, d: ClientId) -> Vec<ServerId> {
+        let held = self.alloc.clear_client(&self.population, d);
+        self.alloc.remove_client(d);
+        self.population.remove_client(d);
+        self.lowered.remove_client(d);
+        self.revenue.remove(d.index());
+        let u = self.members.remove(d.index());
+        self.dense_of[u.index()] = None;
+        for &later in &self.members[d.index()..] {
+            if let Some(dense) = &mut self.dense_of[later.index()] {
+                *dense -= 1;
+            }
+        }
+        held.into_iter().map(|(server, _)| server).collect()
+    }
+
+    /// Writes dense client `d`'s rates into the population and its
+    /// lowered row.
+    fn set_rates(&mut self, d: ClientId, (rate_agreed, rate_predicted): (f64, f64)) {
+        self.population.set_client_rates(d, rate_agreed, rate_predicted);
+        self.lowered.set_rates(self.population.utility_classes(), d, rate_agreed, rate_predicted);
+    }
+
+    /// Re-derives the population from the membership under the current
+    /// rates and fault flags, and lowers it afresh — the fault-event path.
+    fn remask(&mut self) {
+        self.population = self.build_population(&self.members).with_failed_servers(&self.failed());
+        self.lowered = CompiledSystem::new(&self.population).into_clients();
+    }
+
+    /// Replays the allocation onto the population and recomputes every
+    /// cached term — the path of folds, repairs and fault events.
+    fn rescore(&mut self) {
+        self.alloc = self.alloc.replayed_onto(&self.population);
+        let (population, alloc) = (&self.population, &self.alloc);
+        self.revenue = (0..population.num_clients())
+            .map(|d| evaluate_client(population, alloc, ClientId(d)).revenue)
+            .collect();
+        self.cost = (0..population.num_servers())
+            .map(|j| server_cost(population, alloc, ServerId(j)))
+            .collect();
+    }
+
+    /// Builds the unmasked dense system for a membership list, applying
+    /// the current (possibly renegotiated) rates.
     fn build_population(&self, members: &[ClientId]) -> CloudSystem {
         let clients = members
             .iter()
@@ -691,39 +829,20 @@ impl Engine {
             .expect("universe clients re-validate against their own catalog")
     }
 
-    /// Removes members (universe ids), renumbering the dense population
-    /// and carrying surviving placements over to their new dense ids.
-    fn remove_members(&mut self, gone: &[ClientId]) {
-        let survivors: Vec<ClientId> =
-            self.members.iter().copied().filter(|u| !gone.contains(u)).collect();
-        let next_population = self.build_population(&survivors);
-        let mut next_alloc = Allocation::new(&next_population);
-        for (new_d, &u) in survivors.iter().enumerate() {
-            let old_d = ClientId(self.dense_of[u.index()].expect("member"));
-            if let Some(cluster) = self.alloc.cluster_of(old_d) {
-                next_alloc.assign_cluster(ClientId(new_d), cluster);
-                for &(server, placement) in self.alloc.placements(old_d) {
-                    next_alloc.place(&next_population, ClientId(new_d), server, placement);
-                }
-            }
-        }
-        for &u in gone {
-            self.dense_of[u.index()] = None;
-        }
-        for (new_d, &u) in survivors.iter().enumerate() {
-            self.dense_of[u.index()] = Some(new_d);
-        }
-        self.members = survivors;
-        self.population = next_population;
-        self.alloc = next_alloc;
-    }
-
-    /// The canonical batch score of the served population: `evaluate` on
-    /// the masked dense system — the number an external re-score of the
-    /// same population reproduces exactly.
+    /// The canonical batch score of the served population: the cached
+    /// terms summed in `evaluate`'s order (revenue over members in dense
+    /// order, cost over ON servers in id order), so it equals `evaluate`
+    /// on the masked population and its replayed allocation bit for bit.
     fn canonical_profit(&self) -> f64 {
-        let masked = self.masked_population();
-        evaluate(&masked, &self.alloc.replayed_onto(&masked)).profit
+        let mut revenue = 0.0;
+        for &term in &self.revenue {
+            revenue += term;
+        }
+        let mut cost = 0.0;
+        for &term in self.cost.iter().flatten() {
+            cost += term;
+        }
+        revenue - cost
     }
 
     fn failed(&self) -> Vec<ServerId> {
@@ -764,4 +883,14 @@ fn wire_placements(placements: &[(ServerId, cloudalloc_model::Placement)]) -> Ve
             phi_c: p.phi_c,
         })
         .collect()
+}
+
+/// `evaluate`'s cost term of one server: its operation cost while ON.
+fn server_cost(system: &CloudSystem, alloc: &Allocation, server: ServerId) -> Option<f64> {
+    let load = alloc.load(server);
+    load.is_on().then(|| {
+        let class = system.class_of(server);
+        let rho = load.work_processing / class.cap_processing;
+        class.operation_cost(rho)
+    })
 }

@@ -97,14 +97,27 @@ pub fn serve(
                     }
                     let bye = matches!(msg, ClientMessage::Bye { .. });
                     let outcome = engine.handle(&msg, clock.as_ref());
-                    if let Some(w) = writers.get_mut(&id) {
-                        let _ = send(w, &outcome.response);
-                    }
+                    // One write per connection per outcome: the requester
+                    // gets its response followed by the deltas when it
+                    // subscribes, every other subscriber the deltas. The
+                    // sockets keep Nagle's algorithm, so replies written
+                    // while one is unacknowledged share the next segment.
+                    let mut deltas = String::new();
                     for (log, op) in outcome.ops {
-                        let delta = ServerMessage::Delta { log, op };
-                        for &sid in subscribers.iter() {
+                        push_line(&mut deltas, &ServerMessage::Delta { log, op });
+                    }
+                    let mut reply = String::new();
+                    push_line(&mut reply, &outcome.response);
+                    if subscribers.contains(&id) {
+                        reply.push_str(&deltas);
+                    }
+                    if let Some(w) = writers.get_mut(&id) {
+                        let _ = w.write_all(reply.as_bytes());
+                    }
+                    if !deltas.is_empty() {
+                        for &sid in subscribers.iter().filter(|&&sid| sid != id) {
                             if let Some(w) = writers.get_mut(&sid) {
-                                let _ = send(w, &delta);
+                                let _ = w.write_all(deltas.as_bytes());
                             }
                         }
                     }
@@ -189,7 +202,13 @@ fn read_loop(id: u64, stream: TcpStream, tx: mpsc::Sender<Input>) {
 }
 
 fn send(stream: &mut TcpStream, msg: &ServerMessage) -> std::io::Result<()> {
-    let mut line = encode_line(msg);
-    line.push('\n');
+    let mut line = String::new();
+    push_line(&mut line, msg);
     stream.write_all(line.as_bytes())
+}
+
+/// Appends `msg` to `out` as one JSONL line.
+fn push_line(out: &mut String, msg: &ServerMessage) {
+    out.push_str(&encode_line(msg));
+    out.push('\n');
 }

@@ -82,7 +82,9 @@ macro_rules! prop_assume {
 }
 
 /// Declares property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running `body` over generated inputs.
+/// becomes a zero-argument fn running `body` over generated inputs. As in
+/// real proptest, the fn carries only the caller's attributes, so each
+/// property is written `#[test] fn name(...)`.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -105,7 +107,6 @@ macro_rules! __proptest_fns {
         $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::test_runner::Config = $config;
             let mut runner = $crate::test_runner::TestRunner::new(config);

@@ -236,3 +236,187 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// In-place population edits: the admission server's arrival, departure and
+// renegotiation seams
+// ---------------------------------------------------------------------------
+
+use cloudalloc::model::{
+    compile_streamed, Allocation, CloudSystem, CompiledSystem, LoweredClients,
+};
+
+/// Every client-side slot of a lowering as bits: rates, demands, storage,
+/// utility index, reference weight and marginal, and both service-rate
+/// tables for every server class.
+fn lowering_bits(compiled: &CompiledSystem<'_>) -> Vec<u64> {
+    let classes = compiled.server_classes().len();
+    let mut bits = Vec::new();
+    for i in 0..compiled.num_clients() {
+        let id = ClientId(i);
+        bits.extend(
+            [
+                compiled.rate_predicted(id),
+                compiled.rate_agreed(id),
+                compiled.exec_processing(id),
+                compiled.exec_communication(id),
+                compiled.client_storage(id),
+                compiled.ref_weight(id),
+                compiled.ref_marginal(id),
+            ]
+            .map(f64::to_bits),
+        );
+        bits.push(compiled.utility_index(id) as u64);
+        for class in 0..classes {
+            bits.extend([compiled.m_p(class, id).to_bits(), compiled.m_c(class, id).to_bits()]);
+        }
+    }
+    bits
+}
+
+/// Every server's aggregate load as bits.
+fn load_bits(system: &CloudSystem, alloc: &Allocation) -> Vec<[u64; 5]> {
+    (0..system.num_servers())
+        .map(|j| {
+            let load = alloc.load(ServerId(j));
+            [
+                load.phi_p.to_bits(),
+                load.phi_c.to_bits(),
+                load.storage.to_bits(),
+                load.work_processing.to_bits(),
+                load.placements as u64,
+            ]
+        })
+        .collect()
+}
+
+/// The solver's allocation with canonical aggregates: each server's load
+/// summed over its background from its residents in id order, as a replay
+/// leaves it.
+fn replayed_solution(system: &CloudSystem, seed: u64) -> Allocation {
+    solve(system, &SolverConfig::fast(), seed).allocation.replayed_onto(system)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Lowering a population one arriving client at a time lands on the
+    /// batch compile's slots bit for bit, whatever the catalog sizes.
+    #[test]
+    fn lowering_grown_one_client_at_a_time_matches_a_batch_compile(
+        (config, seed) in arbitrary_scenario(),
+    ) {
+        let system = generate(&config, seed);
+        let mut grown = LoweredClients::new(0, system.server_classes().len());
+        for client in system.clients() {
+            grown.push_client(system.server_classes(), system.utility_classes(), client);
+        }
+        prop_assert_eq!(
+            lowering_bits(&compile_streamed(&system, grown)),
+            lowering_bits(&CompiledSystem::new(&system))
+        );
+    }
+
+    /// An arrival appended to a solved population — its row lowered in
+    /// place and an unassigned slot added to the allocation — equals the
+    /// grown population compiled afresh and the allocation replayed onto it.
+    #[test]
+    fn an_arrival_in_place_matches_a_rebuilt_population(
+        (config, seed) in arbitrary_scenario(),
+    ) {
+        let system = generate(&config, seed);
+        let (newcomer, earlier) = system.clients().split_last().unwrap();
+        let mut population = system.try_with_clients(earlier.to_vec()).unwrap();
+        let mut lowered = CompiledSystem::new(&population).into_clients();
+        let mut alloc = replayed_solution(&population, seed);
+        population.add_client(newcomer.clone());
+        lowered.push_client(population.server_classes(), population.utility_classes(), newcomer);
+        alloc.push_client();
+        prop_assert_eq!(&population, &system);
+        prop_assert_eq!(
+            lowering_bits(&compile_streamed(&population, lowered)),
+            lowering_bits(&CompiledSystem::new(&system))
+        );
+        let replay = alloc.replayed_onto(&system);
+        prop_assert_eq!(load_bits(&system, &alloc), load_bits(&system, &replay));
+        prop_assert_eq!(&alloc, &replay);
+        alloc.assert_consistent(&system);
+    }
+
+    /// Departures edited in place — the population, its lowering and the
+    /// allocation, with each vacated server re-summed — equal the survivors
+    /// rebuilt from scratch and the allocation replayed onto them.
+    #[test]
+    fn departures_in_place_match_a_rebuilt_population(
+        (config, seed) in arbitrary_scenario(),
+        pick_seed in any::<u64>(),
+        departures in 1usize..4,
+    ) {
+        let system = generate(&config, seed);
+        let mut population = system.clone();
+        let mut lowered = CompiledSystem::new(&system).into_clients();
+        let mut alloc = replayed_solution(&system, seed);
+        let mut survivors = system.clients().to_vec();
+        let mut state = pick_seed;
+        for _ in 0..departures.min(system.num_clients() - 1) {
+            let gone = ClientId(mix(&mut state) as usize % population.num_clients());
+            for (server, _) in alloc.clear_client(&population, gone) {
+                alloc.recompute_load(&population, server);
+            }
+            alloc.remove_client(gone);
+            lowered.remove_client(gone);
+            prop_assert_eq!(population.remove_client(gone).id, gone);
+            survivors.remove(gone.index());
+        }
+        for (pos, client) in survivors.iter_mut().enumerate() {
+            client.id = ClientId(pos);
+        }
+        let rebuilt = system.try_with_clients(survivors).unwrap();
+        prop_assert_eq!(&population, &rebuilt);
+        prop_assert_eq!(
+            lowering_bits(&compile_streamed(&population, lowered)),
+            lowering_bits(&CompiledSystem::new(&rebuilt))
+        );
+        let replay = alloc.replayed_onto(&rebuilt);
+        prop_assert_eq!(load_bits(&rebuilt, &alloc), load_bits(&rebuilt, &replay));
+        prop_assert_eq!(&alloc, &replay);
+        alloc.assert_consistent(&rebuilt);
+    }
+
+    /// A renegotiated contract edited in place — the client's rates, its
+    /// lowered reference terms and the aggregates of the servers it holds —
+    /// equals the population rebuilt under the new rates and the
+    /// allocation replayed onto it.
+    #[test]
+    fn renegotiation_in_place_matches_a_rebuilt_population(
+        (config, seed) in arbitrary_scenario(),
+        pick in any::<u64>(),
+        rate_agreed in 0.2f64..6.0,
+        rate_predicted in 0.2f64..6.0,
+    ) {
+        let system = generate(&config, seed);
+        let client = ClientId(pick as usize % system.num_clients());
+        let mut population = system.clone();
+        let mut lowered = CompiledSystem::new(&system).into_clients();
+        let mut alloc = replayed_solution(&system, seed);
+        population.set_client_rates(client, rate_agreed, rate_predicted);
+        lowered.set_rates(population.utility_classes(), client, rate_agreed, rate_predicted);
+        let held: Vec<ServerId> =
+            alloc.placements(client).iter().map(|&(server, _)| server).collect();
+        for server in held {
+            alloc.recompute_load(&population, server);
+        }
+        let mut clients = system.clients().to_vec();
+        clients[client.index()].rate_agreed = rate_agreed;
+        clients[client.index()].rate_predicted = rate_predicted;
+        let rebuilt = system.try_with_clients(clients).unwrap();
+        prop_assert_eq!(&population, &rebuilt);
+        prop_assert_eq!(
+            lowering_bits(&compile_streamed(&population, lowered)),
+            lowering_bits(&CompiledSystem::new(&rebuilt))
+        );
+        let replay = alloc.replayed_onto(&rebuilt);
+        prop_assert_eq!(load_bits(&rebuilt, &alloc), load_bits(&rebuilt, &replay));
+        prop_assert_eq!(&alloc, &replay);
+    }
+}

@@ -381,3 +381,76 @@ fn op_log_deltas_reconstruct_the_admitted_set() {
     mirror.sort_unstable();
     assert_eq!(mirror, served, "folded op log disagrees with the server's membership");
 }
+
+/// Each outcome reaches each connection as one ordered run of lines: a
+/// subscribed requester reads its response and then the outcome's deltas,
+/// every other subscriber reads the same delta lines byte for byte, and a
+/// requester that never subscribed reads its response alone.
+#[test]
+fn a_subscribed_requester_reads_its_response_then_the_deltas_others_see() {
+    let (addr, handle) = spawn_server(12, 1, 3);
+    let mut a = Session::connect(addr);
+    let mut b = Session::connect(addr);
+    for s in [&mut a, &mut b] {
+        assert!(matches!(
+            s.request(&ClientMessage::Subscribe { req: 1 }),
+            ServerMessage::Subscribed { .. }
+        ));
+    }
+    let mut c = Session::connect(addr);
+
+    for i in 0..5u64 {
+        a.request(&ClientMessage::Admit { req: 10 + i, client: ClientId(i as usize) });
+    }
+    a.request(&ClientMessage::Depart { req: 20, client: ClientId(2) });
+    c.request(&ClientMessage::Admit { req: 30, client: ClientId(6) });
+    let c_transcript = c.bye(31);
+    a.request(&ClientMessage::Query { req: 21 });
+    let a_transcript = a.bye(22);
+    b.request(&ClientMessage::Query { req: 2 });
+    let b_transcript = b.bye(3);
+    handle.join().expect("server thread");
+
+    let deltas = |transcript: &str| -> Vec<String> {
+        transcript
+            .lines()
+            .filter(|line| matches!(decode_line(line), Ok(ServerMessage::Delta { .. })))
+            .map(str::to_owned)
+            .collect()
+    };
+    let a_deltas = deltas(&a_transcript);
+    assert!(!a_deltas.is_empty(), "the subscribed requester saw no deltas");
+    assert_eq!(a_deltas, deltas(&b_transcript), "subscribers read different delta lines");
+    assert!(deltas(&c_transcript).is_empty(), "a requester that never subscribed read deltas");
+    let positions: Vec<u64> = a_deltas
+        .iter()
+        .map(|line| match decode_line(line) {
+            Ok(ServerMessage::Delta { log, .. }) => log.0,
+            other => panic!("not a delta: {other:?}"),
+        })
+        .collect();
+    assert!(positions.windows(2).all(|w| w[0] < w[1]), "a delta reached the requester twice");
+
+    // Each of the requester's own mutations answers first, then its op.
+    let lines: Vec<ServerMessage> =
+        a_transcript.lines().map(|line| decode_line(line).expect("line decodes")).collect();
+    let mut answered = 0;
+    for pair in lines.windows(2) {
+        let (ServerMessage::Admitted { client, .. } | ServerMessage::Departed { client, .. }) =
+            &pair[0]
+        else {
+            continue;
+        };
+        match &pair[1] {
+            ServerMessage::Delta {
+                op:
+                    ModelOp::Admitted { client: op_client, .. }
+                    | ModelOp::Departed { client: op_client },
+                ..
+            } => assert_eq!(op_client, client),
+            other => panic!("{client}'s response was followed by {other:?}"),
+        }
+        answered += 1;
+    }
+    assert!(answered >= 2, "the requester's admits and depart were not answered");
+}
